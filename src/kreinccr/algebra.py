@@ -211,8 +211,9 @@ class AlgebraElement:
         diff = normal_order(self) - normal_order(other)
         return not diff.terms
 
-    def __hash__(self):  # pragma: no cover - identity hashing is enough
-        return id(self)
+    # equality is equality in the quotient algebra, which no cheap hash of
+    # the stored words respects
+    __hash__ = None
 
     def star(self):
         """*-involution: conjugate coefficients, reverse and star words."""
@@ -304,25 +305,25 @@ class Involution:
     def apply(self, x: AlgebraElement) -> AlgebraElement:
         if x.gens.kind != "holomorphic":
             raise IncompatibleAlgebras("involution acts on the holomorphic algebra")
-        g = x.gens
-        z = AlgebraElement.generator(g, "z")
-        d = AlgebraElement.generator(g, "d")
-        img = {
-            "z": self.c[0][0] * z + self.c[0][1] * d,
-            "d": self.c[1][0] * z + self.c[1][1] * d,
-        }
-        out = AlgebraElement.zero(g)
-        for w, c in x.terms.items():
-            term = AlgebraElement.scalar(g, conj(c))
-            for sym in reversed(w):
-                term = term * img[sym]
-            out = out + term
-        return normal_order(out)
+        # K is antilinear and reverses products: substitute into the
+        # reversed words with conjugated coefficients
+        rev = AlgebraElement(x.gens, {w[::-1]: conj(c) for w, c in x.terms.items()})
+        return substitute(rev, _linear_images(self.c, ("z", "d")), x.gens)
 
 
-def exact_det2(v):
+def _linear_images(m, syms):
+    """Images m[i][0] z + m[i][1] d of the generators syms[i]."""
+    z = AlgebraElement.generator(HOLOMORPHIC, "z")
+    d = AlgebraElement.generator(HOLOMORPHIC, "d")
+    return {sym: m[i][0] * z + m[i][1] * d for i, sym in enumerate(syms)}
+
+
+def _unimodular_images(v, syms, name, tol):
     m = [[_as_coeff(v[i][j]) for j in range(2)] for i in range(2)]
-    return m[0][0] * m[1][1] - m[0][1] * m[1][0]
+    det = m[0][0] * m[1][1] - m[0][1] * m[1][0]
+    if not is_zero(det - 1, tol):
+        raise NotUnimodular(f"det {name} = {det}")
+    return _linear_images(m, syms)
 
 
 def apply_isomorphism(v, x: AlgebraElement, tol=1e-10) -> AlgebraElement:
@@ -333,35 +334,14 @@ def apply_isomorphism(v, x: AlgebraElement, tol=1e-10) -> AlgebraElement:
     """
     if x.gens.kind != "heisenberg":
         raise IncompatibleAlgebras("apply_isomorphism expects a Heisenberg element")
-    det = exact_det2(v)
-    if not is_zero(det - 1, tol):
-        raise NotUnimodular(f"det V = {det}")
-    m = [[_as_coeff(v[i][j]) for j in range(2)] for i in range(2)]
-    z = AlgebraElement.generator(HOLOMORPHIC, "z")
-    d = AlgebraElement.generator(HOLOMORPHIC, "d")
-    images = {
-        "a*": m[0][0] * z + m[0][1] * d,
-        "a": m[1][0] * z + m[1][1] * d,
-    }
-    return substitute(x, images, HOLOMORPHIC)
+    return substitute(x, _unimodular_images(v, ("a*", "a"), "V", tol), HOLOMORPHIC)
 
 
 def apply_automorphism(t, x: AlgebraElement, tol=1e-10) -> AlgebraElement:
     """Automorphism of the holomorphic algebra: (z, d)^T -> T (z, d)^T."""
     if x.gens.kind != "holomorphic":
         raise IncompatibleAlgebras("apply_automorphism expects a holomorphic element")
-    det = exact_det2(t)
-    if not is_zero(det - 1, tol):
-        raise NotUnimodular(f"det T = {det}")
-    m = [[_as_coeff(t[i][j]) for j in range(2)] for i in range(2)]
-    g = x.gens
-    z = AlgebraElement.generator(g, "z")
-    d = AlgebraElement.generator(g, "d")
-    images = {
-        "z": m[0][0] * z + m[0][1] * d,
-        "d": m[1][0] * z + m[1][1] * d,
-    }
-    return substitute(x, images, g)
+    return substitute(x, _unimodular_images(t, ("z", "d"), "T", tol), x.gens)
 
 
 def _coeff_str(c):

@@ -276,8 +276,7 @@ def cmd_spectral_check(args, cfg):
     rep = multimode.build_multimode_rep(eta, cap)
     f = _state_arg(args.f, cap)
     g = _state_arg(args.g, cap)
-    support = multimode.spectral_condition_check(rep, f, g, nodes=args.nodes,
-                                                 tol=cfg["tolerance"])
+    support = multimode.spectral_condition_check(rep, f, g, tol=cfg["tolerance"])
     return {"support": sorted(support),
             "nonnegative": all(k >= 0 for k in support)}
 
@@ -389,7 +388,6 @@ def build_parser():
     p.add_argument("--degree-cap", type=int)
     p.add_argument("--f", required=True, help="state JSON (or @file)")
     p.add_argument("--g", required=True)
-    p.add_argument("--nodes", type=int)
     p.set_defaults(fn=cmd_spectral_check)
 
     p = sub.add_parser("vacuum-descent", help="descend a state to the vacuum ray")

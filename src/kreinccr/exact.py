@@ -11,7 +11,10 @@ so scalars carry four rational components:
 from __future__ import annotations
 
 import math
+import sys
 from fractions import Fraction
+
+_HASH_MOD = 2 ** sys.hash_info.width
 
 
 def _pair_mul(p, q):
@@ -116,14 +119,24 @@ class ExactScalar:
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction, ExactScalar)):
-            return (self - ExactScalar.coerce(other)
-                    if not isinstance(other, ExactScalar) else self - other).is_zero()
+            o = ExactScalar.coerce(other)
+            return (self.a, self.b, self.c, self.d) == (o.a, o.b, o.c, o.d)
         if isinstance(other, (float, complex)):
-            return complex(self) == other
+            # exact, as Fraction compares with float: floats are rational,
+            # so a nonzero sqrt2 part never equals one
+            z = complex(other)
+            return not (self.b or self.d) and self.a == z.real and self.c == z.imag
         return NotImplemented
 
     def __hash__(self):
-        return hash((self.a, self.b, self.c, self.d))
+        if self.b or self.d:
+            return hash((self.a, self.b, self.c, self.d))
+        # a Gaussian rational hashes like the int, Fraction, float or
+        # complex it equals (CPython's complex hash, on Fraction hashes)
+        h = (hash(self.a) + sys.hash_info.imag * hash(self.c)) % _HASH_MOD
+        if h >= _HASH_MOD // 2:
+            h -= _HASH_MOD
+        return -2 if h == -1 else h
 
     def __complex__(self):
         s = math.sqrt(2.0)

@@ -22,7 +22,7 @@ from fractions import Fraction
 import numpy as np
 
 from .algebra import AlgebraElement, multimode_set, substitute
-from .exceptions import AliasingRisk, Degenerate, NotHermitian, ZeroInput
+from .exceptions import Degenerate, NotHermitian, ZeroInput
 
 
 @dataclass(frozen=True)
@@ -225,26 +225,17 @@ class MultiModeRep:
 
 def _monomials(m, cap):
     """All multi-indices over m modes with total degree <= cap, graded order."""
-    out = [()]
-    def rec(prefix, remaining, budget):
-        if remaining == 0:
-            if any(prefix):
-                out.append(_strip(tuple(prefix)))
-            return
-        for n in range(budget + 1):
-            rec(prefix + [n], remaining - 1, budget - n)
-    # generate by total degree for a stable graded order
     res = []
     for d in range(cap + 1):
         level = []
-        def rec2(prefix, remaining, left):
+        def rec(prefix, remaining, left):
             if remaining == 0:
                 if left == 0:
                     level.append(_strip(tuple(prefix)))
                 return
             for n in range(left + 1):
-                rec2(prefix + [n], remaining - 1, left - n)
-        rec2([], m, d)
+                rec(prefix + [n], remaining - 1, left - n)
+        rec([], m, d)
         res.extend(sorted(level))
     return res
 
@@ -288,41 +279,21 @@ def build_multimode_rep(eta: EtaSignature, cap: int) -> MultiModeRep:
                         gram, gauge)
 
 
-def krein_adjoint_mm(a: np.ndarray, rep: MultiModeRep) -> np.ndarray:
-    g = rep.gram_diag
-    return (a.conj().T * g[None, :]) / g[:, None]
-
-
-def gauge_unitary_mm(rep: MultiModeRep, s: float) -> np.ndarray:
-    return np.diag(np.exp(1j * s * rep.gauge_diag))
-
-
 def spectral_condition_check(rep: MultiModeRep, f: MultiIndexState,
-                             g: MultiIndexState, nodes=None, tol=1e-9):
-    """Fourier support of s -> <g, U(s) f> over equispaced nodes.
+                             g: MultiIndexState, tol=1e-9):
+    """Fourier support of s -> <g, U(s) f> = sum_k e^{iks} c_k.
 
-    For this representation the support is contained in {0, ..., cap}:
-    the desk-scale form of the spectral condition.
+    U(s) is diagonal with eigenvalue exp(i s gauge_n), so c_k is the sum of
+    conj(g_n) gram_n f_n over the basis vectors with gauge_n = k.  For this
+    representation the support is contained in {0, ..., cap}: the
+    desk-scale form of the spectral condition.
     """
-    if nodes is None:
-        nodes = 4 * (rep.cap + 1)
-    if nodes <= rep.cap:
-        raise AliasingRisk(f"{nodes} nodes <= degree cap {rep.cap}")
-    fv = rep.vector(f)
-    gv = rep.vector(g)
-    corr = []
-    for j in range(nodes):
-        s = 2 * np.pi * j / nodes
-        corr.append(rep.inner(gv, gauge_unitary_mm(rep, s) @ fv))
-    corr = np.asarray(corr)
-    support = set()
-    scale = max(1.0, float(np.max(np.abs(corr))))
-    half = nodes // 2
-    for k in range(-half, nodes - half):
-        c = np.mean(corr * np.exp(-1j * k * 2 * np.pi * np.arange(nodes) / nodes))
-        if abs(c) > tol * scale:
-            support.add(k)
-    return support
+    terms = np.conj(rep.vector(g)) * rep.gram_diag * rep.vector(f)
+    degree = rep.gauge_diag.astype(int)
+    c = (np.bincount(degree, terms.real, rep.cap + 1)
+         + 1j * np.bincount(degree, terms.imag, rep.cap + 1))
+    scale = max(1.0, float(np.sum(np.abs(c))))
+    return {int(k) for k in np.flatnonzero(np.abs(c) > tol * scale)}
 
 
 def vacuum_descent(rep: MultiModeRep, f: MultiIndexState,
@@ -336,10 +307,8 @@ def vacuum_descent(rep: MultiModeRep, f: MultiIndexState,
     if f.is_zero(tol):
         raise ZeroInput("vacuum descent needs a nonzero state")
     v = rep.vector(f)
-    degrees = sorted({sum(b) for i, b in enumerate(rep.basis) if abs(v[i]) > tol})
-    k = degrees[0]
-    mask = np.array([sum(b) == k for b in rep.basis])
-    cur = np.where(mask, v, 0)
+    k = rep.gauge_diag[np.abs(v) > tol].min()
+    cur = np.where(rep.gauge_diag == k, v, 0)
     steps = 0
     while steps <= k:
         progressed = False

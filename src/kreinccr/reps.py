@@ -486,12 +486,19 @@ def verify_rep(rep: BasisRep, gauge_samples=None, seed=0) -> dict:
     cov_res = 0.0
     fvec = rng.standard_normal(n) + 1j * rng.standard_normal(n)
     gvec = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    base = rep.inner(fvec, gvec)
+    # U(s) is the diagonal exp(i s gauge), so U(s) pi(a) U(s)^{-1} has the
+    # entries a_ij exp(i s (gauge_i - gauge_j)) on the support of pi(a)
+    rows, cols = np.nonzero(a)
+    entries = a[rows, cols]
+    step = rep.gauge_diag[rows] - rep.gauge_diag[cols]
     for s in gauge_samples:
-        u = gauge_unitary(rep, s)
-        iso_res = max(iso_res, abs(rep.inner(u @ fvec, u @ gvec) - rep.inner(fvec, gvec))
-                      / max(1.0, abs(rep.inner(fvec, gvec))))
-        conj = u @ a @ np.linalg.inv(u)
-        cov_res = max(cov_res, float(np.max(np.abs(conj - np.exp(-1j * s) * a))))
+        u = np.exp(1j * s * rep.gauge_diag)
+        iso_res = max(iso_res, abs(rep.inner(u * fvec, u * gvec) - base)
+                      / max(1.0, abs(base)))
+        conj = entries * np.exp(1j * s * step)
+        cov_res = max(cov_res, float(np.max(np.abs(conj - np.exp(-1j * s) * entries),
+                                            initial=0.0)))
     return {
         "ccr_max_residual": ccr_res,
         "star_property_max_residual": star_res,

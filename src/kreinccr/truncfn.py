@@ -206,10 +206,7 @@ def fourier_project(family, f: TruncFn, k: int, nodes: int = None) -> TruncFn:
     if nodes < d + 1:
         raise AliasingRisk(f"{nodes} nodes < degree cap + 1 = {d + 1}")
     acc = np.zeros(d + 1, dtype=complex)
-    exact = True
     for j in range(nodes):
         s = 2 * np.pi * j / nodes
-        g = family(s, f)
-        acc += cmath.exp(-1j * k * s) * g.coeffs
-        exact = exact and g.exact
+        acc += cmath.exp(-1j * k * s) * family(s, f).coeffs
     return TruncFn(acc / nodes, exact=False)

@@ -19,12 +19,13 @@ from kreinccr.cli import main as cli_main
 from kreinccr.exact import I as EXACT_I
 from kreinccr.exact import INV_SQRT2, ONE, ExactScalar
 from kreinccr.multimode import (EtaSignature, MultiIndexState,
-                                build_multimode_rep, krein_adjoint_mm,
-                                spectral_condition_check, vacuum_descent)
+                                build_multimode_rep, spectral_condition_check,
+                                vacuum_descent)
 from kreinccr.pcf import hermite_closed_form, ladder_check, weber_D, weber_ode_residual
 from kreinccr.reps import (build_antifock, build_fock_bargmann,
                            build_schroedinger_theta, detect_null_subrep,
-                           gauge_unitary, reduce_to_canonical, verify_rep)
+                           gauge_unitary, krein_adjoint, reduce_to_canonical,
+                           verify_rep)
 from kreinccr.sl2 import (IDENTITY2, SIGMA1, OrbitKind, SlVector,
                           adjoint_action, classify_orbit, conjugation_from_V,
                           conjugation_from_V_exact, is_bogoliubov, s_lower)
@@ -355,7 +356,7 @@ def test_criterion_12_multimode_suite():
             comm = rep.a_mats[i] @ rep.adag_mats[j] - rep.adag_mats[j] @ rep.a_mats[i]
             want = (eta[i + 1] if i == j else 0.0) * np.eye(rep.size)
             assert np.max(np.abs(stable @ (comm - want) @ stable)) == 0
-        ka = krein_adjoint_mm(rep.a_mats[i], rep)
+        ka = krein_adjoint(rep.a_mats[i], rep)
         assert np.max(np.abs(stable @ (ka - rep.adag_mats[i]) @ stable)) == 0
     assert sorted({int(x.real) for x in rep.gauge_diag}) == list(range(7))
 

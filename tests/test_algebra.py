@@ -219,3 +219,14 @@ def test_normal_order_respects_products(x, y):
 @given(elements)
 def test_involution_involutive_property(x):
     assert SIGMA1_INV.apply(SIGMA1_INV.apply(x)) == x
+
+
+def test_elements_are_unhashable():
+    # equality holds in the quotient algebra, so no hash can respect it
+    a1 = AlgebraElement.generator(HEISENBERG, "a")
+    a2 = AlgebraElement.generator(HEISENBERG, "a")
+    assert a1 == a2
+    with pytest.raises(TypeError):
+        hash(a1)
+    with pytest.raises(TypeError):
+        {a1, a2}

@@ -81,3 +81,44 @@ def test_complex_embedding_is_faithful_enough(x):
     z = complex(x)
     w = complex(x.conjugate())
     assert abs(z.conjugate() - w) < 1e-9 * max(1.0, abs(z))
+
+
+def test_float_equality_is_exact():
+    assert ExactScalar(Fraction(1, 2), 0, Fraction(-3, 4)) == 0.5 - 0.75j
+    assert ExactScalar(Fraction(1, 3)) != 1 / 3
+    assert SQRT2 != math.sqrt(2)
+    assert ExactScalar(1) != float("nan")
+    assert len({ExactScalar(1), 1, 1.0, Fraction(1), 1 + 0j}) == 1
+
+
+dyadics = st.builds(lambda n, k: Fraction(n, 2 ** k),
+                    st.integers(-10 ** 6, 10 ** 6), st.integers(0, 30))
+
+
+@st.composite
+def same_value_forms(draw):
+    """Two of the forms of one Gaussian dyadic value, or of a nearby
+    value with a nonzero sqrt2 part, so that equal pairs are common."""
+    re = draw(dyadics)
+    im = draw(st.one_of(st.just(Fraction(0)), dyadics))
+    forms = [ExactScalar(re, 0, im), complex(float(re), float(im)),
+             ExactScalar(re, draw(rationals), im, draw(rationals))]
+    if im == 0:
+        forms += [re, float(re)]
+        if re.denominator == 1:
+            forms.append(int(re))
+    return draw(st.sampled_from(forms)), draw(st.sampled_from(forms))
+
+
+@given(same_value_forms())
+def test_equal_values_hash_equally(pair):
+    x, y = pair
+    if x == y:
+        assert hash(x) == hash(y)
+
+
+@given(scalars, scalars)
+def test_equal_scalars_hash_equally(x, y):
+    if x == y:
+        assert hash(x) == hash(y)
+    assert hash(x) == hash(x + ExactScalar())

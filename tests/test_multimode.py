@@ -7,13 +7,11 @@ import pytest
 
 from kreinccr.algebra import (AlgebraElement, commutator, multimode_set,
                               normal_order)
-from kreinccr.exceptions import (AliasingRisk, Degenerate, NotHermitian,
-                                 ZeroInput)
+from kreinccr.exceptions import Degenerate, NotHermitian, ZeroInput
 from kreinccr.multimode import (EtaSignature, MultiIndexState,
-                                build_multimode_rep, diagonalize_eta,
-                                gauge_unitary_mm, krein_adjoint_mm, rho_iso,
+                                build_multimode_rep, diagonalize_eta, rho_iso,
                                 spectral_condition_check, vacuum_descent)
-from kreinccr.reps import build_fock_bargmann
+from kreinccr.reps import build_fock_bargmann, gauge_unitary, krein_adjoint
 
 ETA3 = EtaSignature((1, -1, 1))
 
@@ -136,7 +134,7 @@ def test_ccr_and_star_exact():
             comm = rep.a_mats[i] @ rep.adag_mats[j] - rep.adag_mats[j] @ rep.a_mats[i]
             want = (ETA3[i + 1] if i == j else 0.0) * np.eye(rep.size)
             assert np.max(np.abs(p @ (comm - want) @ p)) == 0
-        ka = krein_adjoint_mm(rep.a_mats[i], rep)
+        ka = krein_adjoint(rep.a_mats[i], rep)
         assert np.max(np.abs(p @ (ka - rep.adag_mats[i]) @ p)) == 0
 
 
@@ -152,8 +150,10 @@ def test_spectral_condition():
     assert spectral_condition_check(rep, vac, vac) == {0}
     mono = MultiIndexState.monomial((1, 1), cap=6)
     assert spectral_condition_check(rep, mono, mono) == {2}
-    with pytest.raises(AliasingRisk):
-        spectral_condition_check(rep, vac, vac, nodes=4)
+    # Gram -1 on z1 z2 and 2 on z1^2: the degree-2 terms cancel exactly
+    f = MultiIndexState({(1, 1): 2.0, (2,): 1.0}, cap=6)
+    g = MultiIndexState({(1, 1): 1.0, (2,): 1.0}, cap=6)
+    assert spectral_condition_check(rep, f, g) == set()
 
 
 def test_spectral_condition_random_support():
@@ -214,8 +214,40 @@ def test_vacuum_descent_random_lands_on_constant_ray():
 def test_gauge_unitary_multimode():
     rep = build_multimode_rep(EtaSignature((1, -1)), 4)
     s = 0.9
-    u = gauge_unitary_mm(rep, s)
-    ui = gauge_unitary_mm(rep, -s)
+    u = gauge_unitary(rep, s)
+    ui = gauge_unitary(rep, -s)
     for i in range(2):
         conj = u @ rep.a_mats[i] @ ui
         assert np.max(np.abs(conj - np.exp(-1j * s) * rep.a_mats[i])) < 1e-13
+
+
+def sampled_support(rep, f, g, tol=1e-9):
+    """Reference: sample s -> <g, U(s) f> at 4 (cap + 1) equispaced nodes
+    with the dense gauge unitary, then take a direct DFT."""
+    nodes = 4 * (rep.cap + 1)
+    fv, gv = rep.vector(f), rep.vector(g)
+    ss = 2 * np.pi * np.arange(nodes) / nodes
+    corr = np.array([rep.inner(gv, gauge_unitary(rep, s) @ fv) for s in ss])
+    scale = max(1.0, float(np.max(np.abs(corr))))
+    half = nodes // 2
+    return {k for k in range(-half, nodes - half)
+            if abs(np.mean(corr * np.exp(-1j * k * ss))) > tol * scale}
+
+
+@pytest.mark.parametrize("eta,cap", [((-1,), 6), ((1, -1), 12),
+                                     ((1, -1, 1), 8), ((-1, 1, -1, 1), 8)])
+def test_spectral_support_matches_sampled_dft(eta, cap):
+    rng = np.random.default_rng(cap * len(eta))
+    rep = build_multimode_rep(EtaSignature(eta), cap)
+
+    def rand_state(idxs):
+        return MultiIndexState({i: complex(rng.standard_normal(), rng.standard_normal())
+                                for i in idxs}, cap=cap)
+
+    for _ in range(10):
+        idxs = [rep.basis[i] for i in rng.choice(rep.size, size=6, replace=False)]
+        f = rand_state(idxs)
+        g = rand_state(idxs[:4] + [rep.basis[int(rng.integers(rep.size))]])
+        support = spectral_condition_check(rep, f, g)
+        assert support == sampled_support(rep, f, g)
+        assert support <= set(range(cap + 1))

@@ -5,6 +5,7 @@ against closed-form Gram values (factorials / Gamma), independent of the
 builder internals.
 """
 
+import dataclasses
 import math
 
 import numpy as np
@@ -111,6 +112,27 @@ def test_gauge_unitary_is_group():
     u1 = gauge_unitary(rep, 0.3)
     u2 = gauge_unitary(rep, 1.1)
     assert np.max(np.abs(u1 @ u2 - gauge_unitary(rep, 1.4))) < 1e-12
+
+
+def test_verify_rep_detects_broken_gauge_covariance_and_isometry():
+    rep = build_fock_bargmann(10)
+    base = verify_rep(rep)
+    assert base["gauge_covariance_max_residual"] == 0
+    assert base["gauge_isometry_max_residual"] < 1e-12
+
+    # an entry of pi(a) that lowers the gauge eigenvalue by 3, not by 1
+    entry = 0.25 - 0.5j
+    a = rep.a_mat.copy()
+    a[2, 5] += entry
+    report = verify_rep(dataclasses.replace(rep, a_mat=a))
+    assert report["gauge_covariance_max_residual"] >= 0.1 * abs(entry)
+
+    # a non-real gauge eigenvalue makes U(s) stretch that basis vector;
+    # the top level carries the largest Gram weight
+    gauge = rep.gauge_diag.copy()
+    gauge[-1] += 0.5j
+    report = verify_rep(dataclasses.replace(rep, gauge_diag=gauge))
+    assert report["gauge_isometry_max_residual"] > 0.01
 
 
 def test_scaling_intertwiner():

@@ -1,8 +1,8 @@
 """Normal ordering and exact commutator algebra.
 
 Words in the holomorphic generators (z, d/dz) or the ladder pair (a, a*)
-are rewritten into the unique creation-left form with exact coefficients
-in Q(i, sqrt 2).
+are expanded by Wick's theorem into the unique creation-left form, with
+exact coefficients in Q(i, sqrt 2).
 """
 
 from kreinccr import HEISENBERG, HOLOMORPHIC, AlgebraElement, commutator, \

@@ -5,10 +5,16 @@ Three generator sets are supported: the holomorphic pair (z, d) with
 [d, z] = 1, the Heisenberg pair (a, a*) with [a, a*] = 1, and multimode
 families a_i, a_i* with [a_i, a_j*] = delta_ij * eta_i, eta_i = +-1.
 
-Normal ordering rewrites every word into the unique creation-left
-representative by repeatedly swapping ill-ordered adjacent pairs; each
-swap either lowers the inversion count or shortens the word, so the
-rewriting terminates.
+Normal ordering expands each word by Wick's theorem into the unique
+creation-left representative (creators by numeric mode, then
+annihilators).  The word is read left to right into normal-ordered
+monomials, kept as per-mode exponent vectors with integer coefficients:
+an annihilator a_i raises the power of a_i, and a creator a_i* applied
+to a monomial holding a_i^m gives the monomial with one more a_i* plus
+m * eta_i times the monomial with one a_i fewer, since
+a^m a* = a* a^m + m eta a^(m-1).  Run over a whole block this is
+a^m a*^n = sum_k k! C(m,k) C(n,k) eta^k a*^(n-k) a^(m-k).  Each word's
+coefficient multiplies each integer once, at the end.
 """
 
 from __future__ import annotations
@@ -19,6 +25,10 @@ from .exact import ExactScalar, conj, is_zero
 from .exceptions import IncompatibleAlgebras, NotUnimodular
 
 _ONE = ExactScalar(1)
+
+# (mode, is_creator) of the single-mode letters
+_LETTERS = {"holomorphic": {"z": (0, True), "d": (0, False)},
+            "heisenberg": {"a*": (0, True), "a": (0, False)}}
 
 
 def _mode_of(sym):
@@ -62,25 +72,15 @@ class GeneratorSet:
         creator = sym.endswith("*")
         return (0 if creator else 1, _mode_of(sym))
 
-    def commutator_scalar(self, x, y):
-        """The central scalar [x, y] for generators x, y (exact)."""
-        if self.kind == "holomorphic":
-            if (x, y) == ("d", "z"):
-                return _ONE
-            if (x, y) == ("z", "d"):
-                return -_ONE
-            return None
-        if self.kind == "heisenberg":
-            if (x, y) == ("a", "a*"):
-                return _ONE
-            if (x, y) == ("a*", "a"):
-                return -_ONE
-            return None
-        xc, yc = x.endswith("*"), y.endswith("*")
-        if xc == yc or _mode_of(x) != _mode_of(y):
-            return None
-        e = ExactScalar(self.eta_of(_mode_of(x)))
-        return e if (not xc and yc) else -e
+    def letter(self, sym):
+        """(mode, is_creator) of a generator; the pair (z, d) is mode 0."""
+        if self.kind == "multimode":
+            return _mode_of(sym), sym.endswith("*")
+        return _LETTERS[self.kind][sym]
+
+    def contraction(self, mode):
+        """The central scalar [a_mode, a_mode*] (1 for the single-mode sets)."""
+        return self.eta_of(mode) if self.kind == "multimode" else 1
 
     def star(self, sym):
         """Image of a generator under the algebra *-involution."""
@@ -130,6 +130,14 @@ class AlgebraElement:
             if not is_zero(c):
                 self.terms[tuple(word)] = c
 
+    @classmethod
+    def _of(cls, gens, terms):
+        """Element from word tuples already valid over ``gens``."""
+        x = cls.__new__(cls)
+        x.gens = gens
+        x.terms = {w: c for w, c in terms.items() if not is_zero(c)}
+        return x
+
     # -- constructors -------------------------------------------------
 
     @classmethod
@@ -161,12 +169,12 @@ class AlgebraElement:
                 out.pop(w, None)
             else:
                 out[w] = s
-        return AlgebraElement(self.gens, out)
+        return AlgebraElement._of(self.gens, out)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return AlgebraElement(self.gens, {w: -c for w, c in self.terms.items()})
+        return AlgebraElement._of(self.gens, {w: -c for w, c in self.terms.items()})
 
     def __sub__(self, other):
         if isinstance(other, (int, Fraction, ExactScalar, complex, float)):
@@ -179,7 +187,7 @@ class AlgebraElement:
     def __mul__(self, other):
         if isinstance(other, (int, Fraction, ExactScalar, complex, float)):
             k = _as_coeff(other)
-            return AlgebraElement(self.gens, {w: c * k for w, c in self.terms.items()})
+            return AlgebraElement._of(self.gens, {w: c * k for w, c in self.terms.items()})
         self._check(other)
         out = {}
         for w1, c1 in self.terms.items():
@@ -190,7 +198,7 @@ class AlgebraElement:
                     out.pop(w, None)
                 else:
                     out[w] = s
-        return AlgebraElement(self.gens, out)
+        return AlgebraElement._of(self.gens, out)
 
     def __rmul__(self, other):
         return self * other  # scalars commute
@@ -236,31 +244,52 @@ def _as_coeff(x):
     return x
 
 
+def _wick(word, gens):
+    """Normal-ordered expansion of one word: {word: int coefficient}.
+
+    The pass keeps exponent vectors (creator power, annihilator power per
+    mode, modes in numeric order); the output words spell each letter as
+    it first appears in ``word``.
+    """
+    letters = [gens.letter(s) for s in word]
+    modes = sorted({m for m, _ in letters})
+    slot = {m: 2 * j for j, m in enumerate(modes)}
+    terms = {(0,) * (2 * len(modes)): 1}
+    for m, creator in letters:
+        j = slot[m]
+        if not creator:
+            terms = {v[:j + 1] + (v[j + 1] + 1,) + v[j + 2:]: c for v, c in terms.items()}
+            continue
+        # a^n a* = a* a^n + n eta a^(n-1)
+        eta = gens.contraction(m)
+        nxt = {}
+        for v, c in terms.items():
+            up = v[:j] + (v[j] + 1,) + v[j + 1:]
+            nxt[up] = nxt.get(up, 0) + c
+            n = v[j + 1]
+            if n:
+                down = v[:j + 1] + (n - 1,) + v[j + 2:]
+                nxt[down] = nxt.get(down, 0) + n * eta * c
+        terms = nxt
+    spell = {}
+    for sym, lt in zip(word, letters):
+        spell.setdefault(lt, sym)
+    # creators by mode, then annihilators by mode
+    order = [(spell.get((m, True)), slot[m]) for m in modes]
+    order += [(spell.get((m, False)), slot[m] + 1) for m in modes]
+    return {sum(((s,) * v[i] for s, i in order), ()): c for v, c in terms.items()}
+
+
 def normal_order(x: AlgebraElement) -> AlgebraElement:
     """Unique creation-left representative of x in the quotient algebra."""
-    gens = x.gens
-    key = gens.order_key
-    done = {}
-    stack = list(x.terms.items())
-    while stack:
-        word, coeff = stack.pop()
-        for i in range(len(word) - 1):
-            a, b = word[i], word[i + 1]
-            if key(a) > key(b):
-                # a b = b a + [a, b]
-                swapped = word[:i] + (b, a) + word[i + 2:]
-                stack.append((swapped, coeff))
-                c = gens.commutator_scalar(a, b)
-                if c is not None:
-                    stack.append((word[:i] + word[i + 2:], coeff * c))
-                break
-        else:
-            s = done.get(word, 0) + coeff
-            if is_zero(s):
-                done.pop(word, None)
-            else:
-                done[word] = s
-    return AlgebraElement(gens, done)
+    out = {}
+    for word, coeff in x.terms.items():
+        coeff = _as_coeff(coeff)
+        for w, k in _wick(word, x.gens).items():
+            t = coeff if k == 1 else coeff * k
+            s = out.get(w)
+            out[w] = t if s is None else s + t
+    return AlgebraElement._of(x.gens, out)
 
 
 def commutator(x: AlgebraElement, y: AlgebraElement) -> AlgebraElement:

@@ -20,7 +20,7 @@ from . import multimode, pcf, reps, sl2, truncfn
 from .algebra import (Involution, apply_isomorphism, commutator,
                       format_element, normal_order)
 from .dsl import parse_expr, to_element
-from .exceptions import KreinCcrError, ParseError
+from .exceptions import DomainError, KreinCcrError, ParseError
 
 CONFIG_KEYS = ("degree_cap", "tolerance", "lambda_window", "x_window")
 DEFAULTS = {"degree_cap": 16, "tolerance": 1e-10,
@@ -115,7 +115,11 @@ def _state_arg(text, cap):
     text = _maybe_file(text)
     state = multimode.MultiIndexState.from_json(text)
     if state.cap != cap:
-        state = multimode.MultiIndexState(state.terms, cap)
+        try:
+            state = multimode.MultiIndexState(state.terms, cap)
+        except ValueError as e:
+            raise DomainError(f"state does not fit --degree-cap: {e}",
+                              state_cap=state.cap, degree_cap=cap) from None
     return state
 
 
@@ -206,7 +210,6 @@ def cmd_pcf_eval(args, cfg):
     lam = _number(args.lam)
     x = _number(args.x)
     if abs(lam) > cfg["lambda_window"] or abs(x) > cfg["x_window"]:
-        from .exceptions import DomainError
         raise DomainError("outside the configured evaluation window")
     v = pcf.weber_D(lam, x)
     return {

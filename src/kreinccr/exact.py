@@ -43,6 +43,13 @@ class ExactScalar:
         self.c = Fraction(c)
         self.d = Fraction(d)
 
+    @classmethod
+    def _of(cls, a, b, c, d):
+        """From four Fractions, without coercing them again."""
+        x = object.__new__(cls)
+        x.a, x.b, x.c, x.d = a, b, c, d
+        return x
+
     @staticmethod
     def coerce(x):
         if isinstance(x, ExactScalar):
@@ -57,12 +64,12 @@ class ExactScalar:
         if not isinstance(other, (int, Fraction, ExactScalar)):
             return NotImplemented
         o = ExactScalar.coerce(other)
-        return ExactScalar(self.a + o.a, self.b + o.b, self.c + o.c, self.d + o.d)
+        return ExactScalar._of(self.a + o.a, self.b + o.b, self.c + o.c, self.d + o.d)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return ExactScalar(-self.a, -self.b, -self.c, -self.d)
+        return ExactScalar._of(-self.a, -self.b, -self.c, -self.d)
 
     def __sub__(self, other):
         if isinstance(other, (complex, float)):
@@ -74,19 +81,28 @@ class ExactScalar:
     def __rsub__(self, other):
         return (-self) + other
 
+    def _scaled(self, r):
+        # a rational r scales the four components
+        return ExactScalar._of(self.a * r, self.b * r, self.c * r, self.d * r)
+
     def __mul__(self, other):
+        if isinstance(other, (int, Fraction)):
+            return self._scaled(other)
         if isinstance(other, (complex, float)):
             return complex(self) * other
-        if not isinstance(other, (int, Fraction, ExactScalar)):
+        if not isinstance(other, ExactScalar):
             return NotImplemented
-        o = ExactScalar.coerce(other)
+        if not (other.b or other.c or other.d):
+            return self._scaled(other.a)
+        if not (self.b or self.c or self.d):
+            return other._scaled(self.a)
         re1, im1 = (self.a, self.b), (self.c, self.d)
-        re2, im2 = (o.a, o.b), (o.c, o.d)
+        re2, im2 = (other.a, other.b), (other.c, other.d)
         rr = _pair_mul(re1, re2)
         ii = _pair_mul(im1, im2)
         ri = _pair_mul(re1, im2)
         ir = _pair_mul(im1, re2)
-        return ExactScalar(rr[0] - ii[0], rr[1] - ii[1], ri[0] + ir[0], ri[1] + ir[1])
+        return ExactScalar._of(rr[0] - ii[0], rr[1] - ii[1], ri[0] + ir[0], ri[1] + ir[1])
 
     __rmul__ = __mul__
 
@@ -112,7 +128,7 @@ class ExactScalar:
         return ExactScalar.coerce(other) * self.inverse()
 
     def conjugate(self):
-        return ExactScalar(self.a, self.b, -self.c, -self.d)
+        return ExactScalar._of(self.a, self.b, -self.c, -self.d)
 
     def is_zero(self):
         return self.a == 0 and self.b == 0 and self.c == 0 and self.d == 0

@@ -22,7 +22,7 @@ from fractions import Fraction
 import numpy as np
 
 from .algebra import AlgebraElement, multimode_set, substitute
-from .exceptions import Degenerate, NotHermitian, ZeroInput
+from .exceptions import Degenerate, DomainError, NotHermitian, ZeroInput
 
 
 @dataclass(frozen=True)
@@ -206,7 +206,14 @@ class MultiModeRep:
     def vector(self, state: MultiIndexState):
         v = np.zeros(self.size, dtype=complex)
         for idx, c in state.terms.items():
-            v[self.index[_strip(idx)]] += c
+            idx = _strip(idx)
+            if idx not in self.index:
+                raise DomainError(
+                    f"state term {list(idx)} uses {len(idx)} modes at degree {sum(idx)}; "
+                    f"the representation has {self.modes} modes, cap {self.cap}",
+                    state_modes=len(idx), rep_modes=self.modes,
+                    state_degree=sum(idx), degree_cap=self.cap)
+            v[self.index[idx]] += c
         return v
 
     def state(self, v, tol=0.0):

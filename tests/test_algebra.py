@@ -1,16 +1,24 @@
 """Normal ordering, involutions, isomorphisms, Bogoliubov checks.
 
-The independent oracle for normal ordering is the action on truncated
-monomials: z raises the degree, d differentiates, both with exact
-rational coefficients.  A rewriting is correct iff the rewritten element
-acts identically to the original word.
+The independent oracles for normal ordering are actions.  On truncated
+monomials z raises the degree and d differentiates; on polynomials in
+z_1, z_2, ... a_i acts as d/dz_i and a_i* as eta_i z_i; and sympy's boson
+operators act on number states.  A normal form is correct iff it acts
+as the original word does.  (sympy's ``wicks`` handles fermions only, so
+it cannot serve for bosons.)
 """
 
+import functools
+import itertools
+import math
 import random
+import time
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
+from sympy import Mul, Rational, expand
+from sympy.physics.secondquant import B, BKet, Bd, apply_operators
 
 from kreinccr.algebra import (HEISENBERG, HOLOMORPHIC, AlgebraElement,
                               Involution, apply_automorphism,
@@ -62,6 +70,106 @@ def test_normal_order_against_monomial_oracle():
             direct = {n: ExactScalar(c) for n, c in act_word(word, vec, cap).items()}
             rewritten = act_element(no, vec, cap)
             assert direct == rewritten
+
+
+@functools.lru_cache(maxsize=None)
+def sympy_boson_action(word, n):
+    """sympy's boson operators (a -> B, a* -> Bd) applied to |n>."""
+    ops = [Bd(0) if sym == "a*" else B(0) for sym in word]
+    return apply_operators(Mul(*ops) * BKet([n]))
+
+
+def test_heisenberg_normal_order_against_sympy_boson_action():
+    rng = random.Random(19)
+    words = [w for length in range(6) for w in itertools.product(("a", "a*"), repeat=length)]
+    words += [tuple(rng.choice(("a", "a*")) for _ in range(length))
+              for length in (6, 7, 8) for _ in range(8)]
+    for word in words:
+        no = normal_order(AlgebraElement(HEISENBERG, {word: ONE}))
+        # a normal form with annihilator degree <= k is fixed by its action
+        # on |0>, ..., |k>
+        for n in range(word.count("a") + 1):
+            got = 0
+            for w, c in no.terms.items():
+                assert c == c.a, "Heisenberg coefficients are rational"
+                got += Rational(c.a.numerator, c.a.denominator) * sympy_boson_action(w, n)
+            assert expand(got - sympy_boson_action(word, n)) == 0, (word, n)
+
+
+def act_polynomial(word, poly, eta):
+    """a_i -> d/dz_i, a_i* -> eta_i z_i on {exponents (mode -> power): Fraction},
+    right factor first."""
+    for sym in reversed(word):
+        mode = int(sym[2:].rstrip("*"))
+        out = {}
+        for mono, c in poly.items():
+            powers = dict(mono)
+            n = powers.get(mode, 0)
+            if sym.endswith("*"):
+                powers[mode] = n + 1
+                c = c * eta[mode]
+            elif n:
+                powers[mode] = n - 1
+                c = c * n
+            else:
+                continue
+            key = tuple(sorted((m, p) for m, p in powers.items() if p))
+            out[key] = out.get(key, 0) + c
+        poly = {k: c for k, c in out.items() if c}
+    return poly
+
+
+def _multimode_oracle_check(eta, word):
+    gens = multimode_set(eta)
+    no = normal_order(AlgebraElement(gens, {word: ONE}))
+    for w in no.terms:
+        # creators left, each group by numeric mode ("a_10" after "a_2")
+        assert list(w) == sorted(w, key=lambda s: (not s.endswith("*"), int(s[2:].rstrip("*"))))
+    modes = sorted({int(s[2:].rstrip("*")) for s in word})
+    lowered = [word.count(f"a_{m}") for m in modes]
+    for degrees in itertools.product(*(range(k + 1) for k in lowered)):
+        start = {tuple((m, p) for m, p in zip(modes, degrees) if p): Fraction(1)}
+        got = {}
+        for w, c in no.terms.items():
+            assert c == c.a
+            for mono, v in act_polynomial(w, start, eta).items():
+                got[mono] = got.get(mono, 0) + c.a * v
+        assert {k: v for k, v in got.items() if v} == act_polynomial(word, start, eta), word
+
+
+def test_signed_multimode_normal_order_against_polynomial_action():
+    rng = random.Random(23)
+    eta = {1: 1, 2: -1, 3: 1}
+    letters = [f"a_{m}{star}" for m in eta for star in ("", "*")]
+    for length in range(1, 9):
+        for _ in range(12):
+            _multimode_oracle_check(eta, tuple(rng.choice(letters) for _ in range(length)))
+
+
+def test_multimode_modes_order_by_number():
+    eta = {2: -1, 10: 1}
+    word = ("a_10", "a_2", "a_10*", "a_2*", "a_2", "a_10*", "a_2*", "a_2")
+    _multimode_oracle_check(eta, word)
+    x = AlgebraElement(multimode_set(eta), {("a_10", "a_2", "a_10*", "a_2*"): ONE})
+    assert format_element(x) == ("a_2* a_10* a_2 a_10 - a_10* a_10 + a_2* a_2 - 1")
+
+
+def test_wick_coefficients_and_cost():
+    # a^20 a*^20 = sum_k k! C(20,k)^2 a*^(20-k) a^(20-k)
+    t0 = time.perf_counter()
+    no = normal_order(A ** 20 * ASTAR ** 20)
+    assert time.perf_counter() - t0 < 0.5
+    want = {("a*",) * (20 - k) + ("a",) * (20 - k): math.factorial(k) * math.comb(20, k) ** 2
+            for k in range(21)}
+    assert no.terms == want
+    # with eta = -1 each contraction carries a sign
+    gens = multimode_set({1: -1})
+    a = AlgebraElement.generator(gens, "a_1")
+    astar = AlgebraElement.generator(gens, "a_1*")
+    no = normal_order(a ** 5 * astar ** 3)
+    assert no.terms == {("a_1*",) * (3 - k) + ("a_1",) * (5 - k):
+                        (-1) ** k * math.factorial(k) * math.comb(5, k) * math.comb(3, k)
+                        for k in range(4)}
 
 
 def test_normal_order_examples():

@@ -171,3 +171,26 @@ def test_emit_json_formatting():
     assert emit_json(0.1) == "0.10000000000000001"
     with pytest.raises(ValueError):
         emit_json(float("nan"))
+
+
+def test_state_with_more_modes_than_the_rep_is_a_domain_error(capsys):
+    code, out, err = run_cli(
+        capsys, "spectral-check", "--eta", "+1", "--degree-cap", "3",
+        "--f", '{"cap": 3, "terms": [[[0, 1], [1.0, 0.0]]]}',
+        "--g", '{"cap": 3, "terms": [[[1], [1.0, 0.0]]]}')
+    assert code == 1 and out == ""
+    assert "Traceback" not in err
+    doc = json.loads(err)
+    assert doc["code"] == "DomainError"
+    assert (doc["state_modes"], doc["rep_modes"]) == (2, 1)
+
+
+def test_state_above_the_degree_cap_is_a_domain_error(capsys):
+    code, out, err = run_cli(
+        capsys, "vacuum-descent", "--eta", "+1", "--degree-cap", "3",
+        "--f", '{"cap": 5, "terms": [[[5], [1.0, 0.0]]]}')
+    assert code == 1 and out == ""
+    assert "Traceback" not in err
+    doc = json.loads(err)
+    assert doc["code"] == "DomainError"
+    assert (doc["state_cap"], doc["degree_cap"]) == (5, 3)

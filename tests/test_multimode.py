@@ -7,7 +7,7 @@ import pytest
 
 from kreinccr.algebra import (AlgebraElement, commutator, multimode_set,
                               normal_order)
-from kreinccr.exceptions import Degenerate, NotHermitian, ZeroInput
+from kreinccr.exceptions import Degenerate, DomainError, NotHermitian, ZeroInput
 from kreinccr.multimode import (EtaSignature, MultiIndexState,
                                 build_multimode_rep, diagonalize_eta, rho_iso,
                                 spectral_condition_check, vacuum_descent)
@@ -251,3 +251,12 @@ def test_spectral_support_matches_sampled_dft(eta, cap):
         support = spectral_condition_check(rep, f, g)
         assert support == sampled_support(rep, f, g)
         assert support <= set(range(cap + 1))
+
+
+def test_vector_rejects_states_outside_the_rep():
+    rep = build_multimode_rep(EtaSignature((1, -1)), 3)
+    with pytest.raises(DomainError) as info:
+        rep.vector(MultiIndexState({(0, 0, 1): 1.0}, 3))
+    assert (info.value.payload["state_modes"], info.value.payload["rep_modes"]) == (3, 2)
+    with pytest.raises(DomainError):
+        rep.vector(MultiIndexState({(4,): 1.0}, 5))

@@ -23,7 +23,8 @@ from .algebra import (HEISENBERG, HOLOMORPHIC, AlgebraElement, GeneratorSet,
                       substitute)
 from .exact import ExactScalar
 from .exceptions import (AliasingRisk, Degenerate, DomainError,
-                         IncompatibleAlgebras, KreinCcrError, NotHermitian,
+                         IncompatibleAlgebras, KreinCcrError, NonFinite,
+                         NotHermitian,
                          NotRegularizable, NotUnimodular,
                          NullSubrepresentation, ParseError,
                          SingularTransformation, ZeroInput, ZeroVector)

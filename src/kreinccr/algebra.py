@@ -61,7 +61,9 @@ class GeneratorSet:
             return sym in ("z", "d")
         if self.kind == "heisenberg":
             return sym in ("a", "a*")
-        return sym.startswith("a_") and sym.rstrip("*")[2:].isdigit()
+        # one spelling per mode: "a_2", never "a_02"
+        i = sym[2:].removesuffix("*")
+        return sym.startswith("a_") and i.isdecimal() and str(int(i)) == i
 
     def order_key(self, sym):
         """Sort position; creation-type generators come first."""

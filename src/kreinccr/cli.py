@@ -3,8 +3,8 @@
 Every command is stateless: it parses its inputs, dispatches to the
 library, and prints one JSON document on stdout.  Errors are printed as
 JSON on stderr with a machine-readable ``code`` field; exit status is 0
-on success, 1 on domain errors, 2 on parse errors.  All floats are
-formatted with 17 significant digits so output is byte-stable.
+on success, 1 on domain errors (``NonFinite`` for NaN, Inf or overflow),
+2 on parse errors.  Floats have 17 significant digits: output is byte-stable.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from . import multimode, pcf, reps, sl2, truncfn
 from .algebra import (Involution, apply_isomorphism, commutator,
                       format_element, normal_order)
 from .dsl import parse_expr, to_element
-from .exceptions import DomainError, KreinCcrError, ParseError
+from .exceptions import DomainError, KreinCcrError, NonFinite, ParseError
 
 CONFIG_KEYS = ("degree_cap", "tolerance", "lambda_window", "x_window")
 DEFAULTS = {"degree_cap": 16, "tolerance": 1e-10,
@@ -31,7 +31,7 @@ DEFAULTS = {"degree_cap": 16, "tolerance": 1e-10,
 
 def _fmt_float(x: float) -> str:
     if x != x or x in (float("inf"), float("-inf")):
-        raise ValueError(f"non-finite value {x} in output")
+        raise NonFinite(f"non-finite value {x} in output")
     if x == 0:
         x = 0.0  # normalize -0.0
     s = format(x, ".17g")
@@ -409,7 +409,10 @@ def main(argv=None):
     try:
         if args.config:
             cfg.update(load_config(args.config))
-        result = args.fn(args, cfg)
+        try:
+            out = emit_json(args.fn(args, cfg))
+        except OverflowError as e:
+            raise NonFinite(f"overflow: {e}") from None
     except ParseError as e:
         err = {"error": str(e), "code": e.code, "offset": e.offset,
                "expected": list(e.expected)}
@@ -424,7 +427,7 @@ def main(argv=None):
                 err[k] = str(v)
         print(emit_json(err), file=sys.stderr)
         return 1
-    print(emit_json(result))
+    print(out)
     return 0
 
 

@@ -39,6 +39,10 @@ class DomainError(KreinCcrError):
     code = "DomainError"
 
 
+class NonFinite(KreinCcrError, ValueError):
+    code = "NonFinite"
+
+
 class NotHermitian(KreinCcrError):
     code = "NotHermitian"
 

@@ -21,8 +21,9 @@ from fractions import Fraction
 
 import numpy as np
 
-from .algebra import AlgebraElement, multimode_set, substitute
-from .exceptions import Degenerate, DomainError, NotHermitian, ZeroInput
+from .algebra import AlgebraElement, _mode_of, multimode_set, substitute
+from .exceptions import (Degenerate, DomainError, NotHermitian, ParseError,
+                         ZeroInput)
 
 
 @dataclass(frozen=True)
@@ -114,10 +115,15 @@ class MultiIndexState:
 
     @classmethod
     def from_json(cls, text):
-        obj = json.loads(text)
-        return cls({tuple(k): complex(re, im) for k, (re, im) in
-                    ((tuple(idx), val) for idx, val in obj["terms"])},
-                   obj["cap"])
+        """State from {"cap": int, "terms": [[index, [re, im]], ...]}; text
+        of another shape, or an index the cap does not admit, is a ParseError."""
+        try:
+            obj = json.loads(text)
+            return cls({tuple(idx): complex(re, im) for idx, (re, im) in obj["terms"]},
+                       obj["cap"])
+        except (KeyError, TypeError, ValueError) as e:
+            raise ParseError(f"state JSON: {e!r}", offset=getattr(e, "pos", 0),
+                             expected=("cap", "terms")) from None
 
     def __repr__(self):
         return f"MultiIndexState({self.terms!r}, cap={self.cap})"
@@ -168,7 +174,7 @@ def rho_iso(eta: EtaSignature, x: AlgebraElement) -> AlgebraElement:
     target = multimode_set([1] * len(eta))
     images = {}
     for sym in {s for w in x.terms for s in w}:
-        mode = int(sym.split("_", 1)[1].rstrip("*"))
+        mode = _mode_of(sym)
         e = eta[mode]
         lower = AlgebraElement.generator(target, f"a_{mode}")
         raise_ = AlgebraElement.generator(target, f"a_{mode}*")

@@ -5,9 +5,10 @@ D_lambda(x) is evaluated from the confluent-hypergeometric decomposition
     D_l(x) = 2^{l/2} e^{-x^2/4} [ sqrt(pi) rgamma((1-l)/2) M(-l/2, 1/2, x^2/2)
              - sqrt(2 pi) x rgamma(-l/2) M((1-l)/2, 3/2, x^2/2) ],
 
-with the Kummer series summed directly and reciprocal gamma handling the
-poles.  Derivatives come from term-wise differentiation, never finite
-differences, so ladder residuals are limited only by series accuracy.
+with the Kummer series summed directly and the reciprocal gamma taken as
+1/math.gamma, zero at the poles.  Derivatives come from term-wise
+differentiation, never finite differences, so ladder residuals are
+limited only by series accuracy.
 
 The rescaled family F_l(z) = D_l(sqrt(2) z) satisfies the raising and
 lowering relations
@@ -22,7 +23,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import rgamma
 
 from .exceptions import DomainError
 
@@ -42,6 +42,13 @@ class PcfValue:
     derivative: complex
     second: complex
     est_error: float
+
+
+def _rgamma(x):
+    """1/Gamma(x), with the value 0 at the poles x = 0, -1, -2, ..."""
+    if x <= 0 and x.is_integer():
+        return 0.0
+    return 1.0 / math.gamma(x)
 
 
 def _kummer(a, b, t):
@@ -81,8 +88,8 @@ def weber_D(lam: float, x) -> PcfValue:
         raise DomainError(f"|x| = {abs(x)} outside |x| <= {X_WINDOW}")
     x = complex(x)
     t = x * x / 2
-    a_coef = math.sqrt(math.pi) * float(rgamma((1 - lam) / 2))
-    b_coef = math.sqrt(2 * math.pi) * float(rgamma(-lam / 2))
+    a_coef = math.sqrt(math.pi) * _rgamma((1 - lam) / 2)
+    b_coef = math.sqrt(2 * math.pi) * _rgamma(-lam / 2)
     m1, dm1, ddm1, r1 = _kummer(-lam / 2, 0.5, t)
     m2, dm2, ddm2, r2 = _kummer((1 - lam) / 2, 1.5, t)
     pref = 2 ** (lam / 2)

@@ -17,7 +17,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import gamma as gamma_fn
 
 from . import sl2
 from .algebra import (AlgebraElement, HEISENBERG, apply_automorphism,
@@ -130,36 +129,15 @@ def krein_decomposition(rep: BasisRep) -> KreinDecomposition:
 # builders
 # ---------------------------------------------------------------------
 
-def _shift_down(n, weights):
-    """Matrix sending e_k -> weights[k] e_{k-1}."""
-    m = np.zeros((n, n), dtype=complex)
-    for k in range(1, n):
-        m[k - 1, k] = weights[k]
-    return m
-
-
-def _shift_up(n, weights):
-    """Matrix sending e_k -> weights[k] e_{k+1}; the top action is dropped."""
-    m = np.zeros((n, n), dtype=complex)
-    for k in range(n - 1):
-        m[k + 1, k] = weights[k]
-    return m
-
-
 def build_fock_bargmann(levels: int) -> BasisRep:
-    """Standard Fock representation: e_n ~ z^n, pi(a) = d/dz, pi(a*) = z."""
+    """Standard Fock representation: e_n ~ z^n, pi(a) = d/dz, pi(a*) = z.
+
+    The theta = 0, gamma = 1, sign = +1 member of the V_theta ladder.
+    """
     if levels < 1:
         raise ValueError("need at least one excited level")
-    n = levels + 1
-    ns = np.arange(n)
-    return BasisRep(
-        label="fock_bargmann",
-        a_mat=_shift_down(n, ns.astype(complex)),
-        adag_mat=_shift_up(n, np.ones(n)),
-        gauge_diag=ns.astype(complex),
-        gram_diag=np.array([math.factorial(k) for k in ns], dtype=float),
-        params={"levels": levels, "mu": 0.0},
-    )
+    return _ladder("fock_bargmann", {"levels": levels, "mu": 0.0},
+                   0.0, 1.0, levels, +1)
 
 
 def build_antifock(levels: int, flavor: str = "bargmann") -> BasisRep:
@@ -167,21 +145,15 @@ def build_antifock(levels: int, flavor: str = "bargmann") -> BasisRep:
 
     Bargmann flavor: pi(a) = z (raising), pi(a*) = -d/dz; Gram (-1)^n n!.
     The gauge generator is -n so that U(s) pi(a) U(s)^{-1} = e^{-is} pi(a).
+    This is the theta = 0, gamma = 1, sign = -1 member of the V_theta ladder.
     """
     if levels < 1:
         raise ValueError("need at least one excited level")
     if flavor not in ("bargmann", "schroedinger"):
         raise ValueError(f"unknown flavor {flavor!r}")
-    n = levels + 1
-    ns = np.arange(n)
-    return BasisRep(
-        label=f"antifock_{flavor}",
-        a_mat=_shift_up(n, np.ones(n)),
-        adag_mat=_shift_down(n, -ns.astype(complex)),
-        gauge_diag=-ns.astype(complex),
-        gram_diag=np.array([(-1.0) ** k * math.factorial(k) for k in ns]),
-        params={"levels": levels, "flavor": flavor, "mu": 0.0},
-    )
+    return _ladder(f"antifock_{flavor}",
+                   {"levels": levels, "flavor": flavor, "mu": 0.0},
+                   0.0, 1.0, levels, -1)
 
 
 def build_schroedinger_theta(theta: float, gamma: float, levels: int,
@@ -198,6 +170,8 @@ def build_schroedinger_theta(theta: float, gamma: float, levels: int,
         raise DomainError("theta must be real")
     if gamma <= 0:
         raise DomainError(f"gamma = {gamma} must be positive")
+    if levels < 0:
+        raise DomainError(f"levels = {levels} must be nonnegative")
     if sign not in (+1, -1):
         raise ValueError("sign must be +-1")
     if min_level < 0:
@@ -206,46 +180,40 @@ def build_schroedinger_theta(theta: float, gamma: float, levels: int,
             raise NullSubrepresentation(
                 "theta = 0 with negative levels forces a null subspace",
                 chain=diag.chain)
-    n = levels + 1
-    ks = np.arange(min_level, min_level + n)
-    gram = _window_gram(theta, gamma, ks)
-    if sign > 0:
-        a_mat = _shift_down(n, gamma * (theta + ks).astype(complex))
-        adag_mat = _shift_up(n, np.full(n, 1.0 / gamma))
-        gauge = (ks + theta).astype(complex)
-    else:
-        # the composition with rho^-: a and a* exchange ladder roles and
-        # the Gram alternates, keeping the adjointness identities exact
-        a_mat = _shift_up(n, np.full(n, 1.0 / gamma))
-        adag_mat = _shift_down(n, -gamma * (theta + ks).astype(complex))
-        gauge = -(ks + theta).astype(complex)
-        gram = gram * (-1.0) ** ks  # (-1)^N with N anchored at level zero
-    return BasisRep(
-        label="schroedinger_theta",
-        a_mat=a_mat,
-        adag_mat=adag_mat,
-        gauge_diag=gauge,
-        gram_diag=gram,
-        params={"theta": theta, "gamma": gamma, "levels": levels,
-                "sign": sign, "mu": theta},
-        min_level=min_level,
-    )
+    return _ladder("schroedinger_theta",
+                   {"theta": theta, "gamma": gamma, "levels": levels,
+                    "sign": sign, "mu": theta},
+                   theta, gamma, levels, sign, min_level)
 
 
-def _window_gram(theta, gamma, ks):
-    """Gram values gamma^{2k} Gamma(theta+k+1) extended to negative k via
-    the recursion g_k = gamma^2 (theta + k) g_{k-1}, anchored at k = 0."""
-    out = np.empty(len(ks))
-    for i, k in enumerate(ks):
-        if k >= 0:
-            out[i] = gamma ** (2 * k) * float(gamma_fn(theta + k + 1))
-        else:
-            # walk the recursion downward from g_0
-            g = float(gamma_fn(theta + 1))
-            for j in range(0, k, -1):
-                g = g / (gamma ** 2 * (theta + j))
-            out[i] = g
-    return out
+def _ladder(label, params, theta, gamma, levels, sign, min_level=0):
+    """The V_theta ladder on levels min_level .. min_level + levels.
+
+    Krein adjointness alone fixes the Gram: g_0 = Gamma(theta + 1) and
+    g_k = sign gamma^2 (theta + k) g_{k-1}, walked up from level 0 and,
+    below it, down.  The sign = -1 Gram is (-1)^k times the sign = +1 one.
+    """
+    ks = np.arange(min_level, min_level + levels + 1)
+    lo = min(min_level, 0)
+    factor = sign * gamma ** 2 * (theta + np.arange(lo, max(ks[-1], 0) + 1))
+    g0 = math.gamma(theta + 1)
+    with np.errstate(over="ignore"):
+        up = np.cumprod(np.concatenate(([g0], factor[1 - lo:])))
+        down = np.divide.accumulate(np.concatenate(([g0], factor[-lo:0:-1])))
+    gram = np.concatenate((down[:0:-1], up))[ks - lo]
+    bad = ks[~np.isfinite(gram) | (gram == 0)]
+    if bad.size:
+        level = int(bad[np.argmin(np.abs(bad))])
+        raise DomainError(f"the Gram leaves the range of doubles at level {level}",
+                          level=level)
+    lower = np.diag(sign * gamma * (theta + ks[1:]).astype(complex), 1)  # e_k -> e_{k-1}
+    upper = np.diag(np.full(levels, 1.0 / gamma, dtype=complex), -1)  # e_k -> e_{k+1}
+    # sign = -1 composes with rho^-: a and a* exchange ladder roles and the
+    # Gram alternates, keeping the adjointness identities exact
+    a_mat, adag_mat = (lower, upper) if sign > 0 else (upper, lower)
+    return BasisRep(label=label, a_mat=a_mat, adag_mat=adag_mat,
+                    gauge_diag=sign * (ks + theta).astype(complex),
+                    gram_diag=gram, params=params, min_level=min_level)
 
 
 # ---------------------------------------------------------------------

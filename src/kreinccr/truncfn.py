@@ -197,14 +197,17 @@ def rotation_family(s, f: TruncFn) -> TruncFn:
 def fourier_project(family, f: TruncFn, k: int, nodes: int = None) -> TruncFn:
     """DFT discretization of (2 pi)^{-1} int U(s) e^{-iks} f ds.
 
-    ``family`` maps (s, TruncFn) -> TruncFn.  For the rotation family and
-    nodes >= D+1 the projection is exact on trigonometric polynomials.
+    ``family`` maps (s, TruncFn) -> TruncFn.  Mode n lands on mode k when
+    n - k is a multiple of nodes, so nodes must be at least D+1 and exceed
+    |n - k| for every n in 0..D; the projection of the rotation family is
+    then exact on trigonometric polynomials.
     """
     d = f.degree_cap
     if nodes is None:
         nodes = 4 * (d + 1)
-    if nodes < d + 1:
-        raise AliasingRisk(f"{nodes} nodes < degree cap + 1 = {d + 1}")
+    need = max(d, k, d - k) + 1
+    if nodes < need:
+        raise AliasingRisk(f"{nodes} nodes < {need}: modes 0..{d} alias onto mode {k}")
     acc = np.zeros(d + 1, dtype=complex)
     for j in range(nodes):
         s = 2 * np.pi * j / nodes

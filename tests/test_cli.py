@@ -1,6 +1,10 @@
 """Command-line interface: dispatch, JSON output, exit codes, stability."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -194,3 +198,54 @@ def test_state_above_the_degree_cap_is_a_domain_error(capsys):
     doc = json.loads(err)
     assert doc["code"] == "DomainError"
     assert (doc["state_cap"], doc["degree_cap"]) == (5, 3)
+
+
+@pytest.mark.parametrize("argv", [
+    ("vacuum-descent", "--eta", "+1", "--degree-cap", "3", "--f", '{"cap": 3}'),
+    ("spectral-check", "--eta", "+1", "--degree-cap", "3",
+     "--f", '{"cap": 3, "terms": [[[1], [1.0]]]}', "--g", '{"cap": 3, "terms": []}'),
+    ("vacuum-descent", "--eta", "+1", "--degree-cap", "3", "--f", '{"cap": 3, "terms": ['),
+])
+def test_malformed_state_json_is_a_parse_error(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == ""
+    assert "Traceback" not in err
+    assert json.loads(err)["code"] == "ParseError"
+
+
+def test_mode_index_with_a_leading_zero_is_rejected(capsys):
+    code, out, err = run_cli(capsys, "normal-order", "a_02 - a_2")
+    assert code == 1 and out == ""
+    assert json.loads(err)["code"] == "IncompatibleAlgebras"
+
+
+@pytest.mark.parametrize("argv, level", [
+    (("verify-rep", "--levels", "200"), 171),
+    (("build-rep", "--kind", "schroedinger", "--theta", "-0.5", "--gamma", "2",
+      "--levels", "200"), 135),
+])
+def test_gram_overflow_is_a_domain_error(capsys, argv, level):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 1 and out == ""
+    assert "Traceback" not in err
+    doc = json.loads(err)
+    assert (doc["code"], doc["level"]) == ("DomainError", level)
+
+
+def test_overflow_in_a_verb_is_a_non_finite_error(capsys):
+    # the Gram is finite at 134 levels, but verify_rep's inner products are not
+    code, out, err = run_cli(capsys, "verify-rep", "--kind", "schroedinger",
+                             "--theta", "-0.5", "--gamma", "2", "--levels", "134")
+    assert code == 1 and out == ""
+    assert "Traceback" not in err
+    assert json.loads(err)["code"] == "NonFinite"
+
+
+def test_import_does_not_load_scipy():
+    import kreinccr
+
+    src = str(Path(kreinccr.__file__).resolve().parents[1])
+    probe = "import sys, kreinccr; print(sorted(m for m in sys.modules if m.startswith('scipy')))"
+    done = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": src}, timeout=60, check=True)
+    assert done.stdout.strip() == "[]"

@@ -65,13 +65,37 @@ def test_antifock_gram_alternates():
     assert np.array_equal(dec.signature * dec.weights, rep.gram_diag)
 
 
-def test_schroedinger_gram_closed_form():
+@pytest.mark.parametrize("levels", [16, 120])
+def test_schroedinger_gram_closed_form(levels):
     for th in THETAS:
         for gm in GAMMAS:
-            rep = build_schroedinger_theta(th, gm, 16)
-            for n in range(17):
+            rep = build_schroedinger_theta(th, gm, levels)
+            for n in range(levels + 1):
                 want = gm ** (2 * n) * float(gamma_fn(th + n + 1))
                 assert abs(rep.gram_diag[n] - want) < 1e-12 * max(1.0, abs(want))
+
+
+@pytest.mark.parametrize("levels", [8, 160])
+def test_fock_and_antifock_are_the_theta_zero_ladder(levels):
+    for build, sign in ((build_fock_bargmann, +1), (build_antifock, -1)):
+        rep = build(levels)
+        ladder = build_schroedinger_theta(0.0, 1.0, levels, sign=sign)
+        for name in ("a_mat", "adag_mat", "gauge_diag", "gram_diag"):
+            assert np.array_equal(getattr(rep, name), getattr(ladder, name)), name
+
+
+@pytest.mark.parametrize("build, args, level", [
+    (build_fock_bargmann, (171,), 171),
+    (build_antifock, (400,), 171),
+    (build_schroedinger_theta, (-0.5, 2.0, 200), 135),
+    (build_schroedinger_theta, (-0.5, 2.0, 200, -1), 135),
+    (build_schroedinger_theta, (-0.5, 1e-200, 4), 1),
+])
+def test_gram_outside_the_doubles_is_a_domain_error(build, args, level):
+    with pytest.raises(DomainError) as info:
+        build(*args)
+    assert info.value.payload == {"level": level}
+    assert f"level {level}" in str(info.value)
 
 
 def test_all_reps_verify():

@@ -130,30 +130,36 @@ def test_rotation_family_and_projection():
     assert np.max(np.abs(empty.coeffs)) < 1e-12
 
 
+def test_projection_aliasing_guard():
+    f = TruncFn.from_coeffs(np.ones(9), 8)
+    with pytest.raises(AliasingRisk):
+        fourier_project(rotation_family, f, 0, nodes=5)
+    # exactly D+1 nodes is the minimum that resolves every mode
+    proj = fourier_project(rotation_family, f, 3, nodes=9)
+    want = np.zeros(9)
+    want[3] = 1
+    assert np.max(np.abs(proj.coeffs - want)) < 1e-12
+
+
 @pytest.mark.parametrize("ones, cap, k, nodes", [
-    (9, 8, 0, 5),
     # modes outside 0..D: with the default 68 nodes at D = 16, mode 68
     # would pick up c_0 and mode -60 would pick up c_8
     (2, 16, 68, None),
     (9, 16, -60, None),
     (9, 16, 20, 20),
 ])
-def test_projection_aliasing_guard(ones, cap, k, nodes):
+def test_projection_aliasing_guard_outside_the_cap(ones, cap, k, nodes):
     f = TruncFn.from_coeffs(np.ones(ones), cap)
     with pytest.raises(AliasingRisk):
         fourier_project(rotation_family, f, k, nodes=nodes)
 
 
-@pytest.mark.parametrize("cap, k, nodes", [(8, 3, 9), (16, 68, 69), (16, -60, 77)])
-def test_projection_with_enough_nodes(cap, k, nodes):
-    # exactly D+1 nodes is the minimum that resolves every mode in 0..D;
-    # a mode outside 0..D needs more than its distance to each of them
-    f = TruncFn.from_coeffs(np.ones(cap + 1), cap)
+@pytest.mark.parametrize("k, nodes", [(68, 69), (-60, 77)])
+def test_projection_outside_the_cap_with_enough_nodes(k, nodes):
+    # a mode outside 0..D needs more nodes than its distance to each of them
+    f = TruncFn.from_coeffs(np.ones(17), 16)
     proj = fourier_project(rotation_family, f, k, nodes=nodes)
-    want = np.zeros(cap + 1)
-    if 0 <= k <= cap:
-        want[k] = 1
-    assert np.max(np.abs(proj.coeffs - want)) < 1e-12
+    assert np.max(np.abs(proj.coeffs)) < 1e-12
 
 
 def test_json_round_trip():

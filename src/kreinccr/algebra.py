@@ -116,7 +116,7 @@ class AlgebraElement:
     """Finite linear combination of words, over a fixed generator set.
 
     Coefficients are ExactScalar by default; complex floats are accepted
-    for numeric work (e.g. canonical reduction of numeric isomorphisms)
+    for numeric work (e.g. the CLI's isomap and involve on float matrices)
     and mixing the two coerces to complex.
     """
 

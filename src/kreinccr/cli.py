@@ -76,9 +76,13 @@ def _number(text):
     text = text.strip()
     try:
         return float(Fraction(text))
-    except ValueError:
+    except (ValueError, ZeroDivisionError):
         pass
-    return complex(text.replace("i", "j"))
+    try:
+        return complex(text.replace("i", "j"))
+    except ValueError:
+        raise ParseError(f"not a number: {text!r}", offset=0,
+                         expected=("number",)) from None
 
 def _number_list(text):
     return [_number(p) for p in text.split(",")]
@@ -101,14 +105,20 @@ def _truncfn_arg(args, cap):
 
 def _maybe_file(text):
     if text.startswith("@"):
-        with open(text[1:]) as fh:
-            return fh.read()
+        try:
+            with open(text[1:]) as fh:
+                return fh.read()
+        except OSError as e:
+            raise ParseError(f"cannot read {text[1:]!r}: {e.strerror}", offset=0,
+                             expected=("file",)) from None
     return text
 
 
 def _eta_arg(text):
-    vals = [int(p) for p in text.split(",")]
-    return multimode.EtaSignature(tuple(vals))
+    try:
+        return multimode.EtaSignature(tuple(int(p) for p in text.split(",")))
+    except ValueError as e:
+        raise ParseError(f"--eta: {e}", offset=0, expected=("+1", "-1")) from None
 
 
 def _state_arg(text, cap):

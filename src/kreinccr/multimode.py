@@ -257,7 +257,7 @@ def build_multimode_rep(eta: EtaSignature, cap: int) -> MultiModeRep:
     """Monomial-basis representation with pi(a_i) = d/dz_i and
     pi(a_i*) = eta_i z_i, Gram prod n_i! (-1)^{n_i(1-eta_i)/2}."""
     if len(eta) < 1 or cap < 1:
-        raise ValueError("need at least one mode and degree >= 1")
+        raise DomainError("need at least one mode and degree >= 1")
     m = len(eta)
     basis = _monomials(m, cap)
     index = {b: i for i, b in enumerate(basis)}

@@ -7,22 +7,23 @@ parabolic-cylinder (Schroedinger) family V_theta; utilities provide the
 Krein adjoint, gauge isometries, scaling intertwiners, canonical-form
 reduction of a general unimodular isomorphism, and the null-subspace
 diagnosis for theta = 0 windows that dip below level zero.
+
+The reduction is in closed form: in V = V_canonical S the second column
+of V is that of V_canonical up to the factor 1/alpha of S, so it fixes
+kind, sign and gamma (t/q = -sign gamma^2 for V = [[p, q], [r, t]]), mu
+fixes theta, and S = adj(V_canonical) V.
 """
 
 from __future__ import annotations
 
-import cmath
 import json
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import sl2
-from .algebra import (AlgebraElement, HEISENBERG, apply_automorphism,
-                      apply_isomorphism, normal_order)
 from .exceptions import (DomainError, NotRegularizable, NotUnimodular,
-                         NullSubrepresentation)
+                         NullSubrepresentation, ParseError)
 
 SQRT2 = math.sqrt(2.0)
 
@@ -77,10 +78,9 @@ class BasisRep:
 
     @classmethod
     def from_json(cls, text):
-        obj = json.loads(text)
-        n = obj["size"]
+        """Inverse of to_json; text of another shape is a ParseError."""
 
-        def unband(spec):
+        def unband(spec, n):
             m = np.zeros((n, n), dtype=complex)
             for i, v in enumerate(spec["lower"]):
                 m[i + 1, i] = complex(*v)
@@ -88,17 +88,21 @@ class BasisRep:
                 m[i, i + 1] = complex(*v)
             return m
 
-        a = unband(obj["a_band"])
-        ad = unband(obj["adag_band"])
-        return cls(
-            label=obj["label"],
-            a_mat=a,
-            adag_mat=ad,
-            gauge_diag=np.array([complex(*v) for v in obj["gauge_diagonal"]]),
-            gram_diag=np.array(obj["gram_diagonal"], dtype=float),
-            params=obj["params"],
-            min_level=obj["min_level"],
-        )
+        try:
+            obj = json.loads(text)
+            n = obj["size"]
+            return cls(
+                label=obj["label"],
+                a_mat=unband(obj["a_band"], n),
+                adag_mat=unband(obj["adag_band"], n),
+                gauge_diag=np.array([complex(*v) for v in obj["gauge_diagonal"]]),
+                gram_diag=np.array(obj["gram_diagonal"], dtype=float),
+                params=obj["params"],
+                min_level=obj["min_level"],
+            )
+        except (KeyError, TypeError, ValueError, IndexError) as e:
+            raise ParseError(f"representation JSON: {e!r}", offset=getattr(e, "pos", 0),
+                             expected=("size", "a_band", "adag_band")) from None
 
 
 def _c2(z):
@@ -134,8 +138,6 @@ def build_fock_bargmann(levels: int) -> BasisRep:
 
     The theta = 0, gamma = 1, sign = +1 member of the V_theta ladder.
     """
-    if levels < 1:
-        raise ValueError("need at least one excited level")
     return _ladder("fock_bargmann", {"levels": levels, "mu": 0.0},
                    0.0, 1.0, levels, +1)
 
@@ -147,8 +149,6 @@ def build_antifock(levels: int, flavor: str = "bargmann") -> BasisRep:
     The gauge generator is -n so that U(s) pi(a) U(s)^{-1} = e^{-is} pi(a).
     This is the theta = 0, gamma = 1, sign = -1 member of the V_theta ladder.
     """
-    if levels < 1:
-        raise ValueError("need at least one excited level")
     if flavor not in ("bargmann", "schroedinger"):
         raise ValueError(f"unknown flavor {flavor!r}")
     return _ladder(f"antifock_{flavor}",
@@ -170,16 +170,8 @@ def build_schroedinger_theta(theta: float, gamma: float, levels: int,
         raise DomainError("theta must be real")
     if gamma <= 0:
         raise DomainError(f"gamma = {gamma} must be positive")
-    if levels < 0:
-        raise DomainError(f"levels = {levels} must be nonnegative")
     if sign not in (+1, -1):
         raise ValueError("sign must be +-1")
-    if min_level < 0:
-        diag = detect_null_subrep(theta, min_level, min_level + levels, gamma)
-        if diag.has_null:
-            raise NullSubrepresentation(
-                "theta = 0 with negative levels forces a null subspace",
-                chain=diag.chain)
     return _ladder("schroedinger_theta",
                    {"theta": theta, "gamma": gamma, "levels": levels,
                     "sign": sign, "mu": theta},
@@ -192,7 +184,17 @@ def _ladder(label, params, theta, gamma, levels, sign, min_level=0):
     Krein adjointness alone fixes the Gram: g_0 = Gamma(theta + 1) and
     g_k = sign gamma^2 (theta + k) g_{k-1}, walked up from level 0 and,
     below it, down.  The sign = -1 Gram is (-1)^k times the sign = +1 one.
+    Negative levels are a DomainError for every builder; a theta = 0
+    window below level zero is a NullSubrepresentation.
     """
+    if levels < 0:
+        raise DomainError(f"levels = {levels} must be nonnegative")
+    if min_level < 0:
+        diag = detect_null_subrep(theta, min_level, min_level + levels, gamma)
+        if diag.has_null:
+            raise NullSubrepresentation(
+                "theta = 0 with negative levels forces a null subspace",
+                chain=diag.chain)
     ks = np.arange(min_level, min_level + levels + 1)
     lo = min(min_level, 0)
     factor = sign * gamma ** 2 * (theta + np.arange(lo, max(ks[-1], 0) + 1))
@@ -301,16 +303,6 @@ class CanonicalForm:
     gamma: float
 
 
-def _quadratic_slvector(x: AlgebraElement):
-    """Read (n3, n-, n+) and the constant from a normal-ordered quadratic:
-    X = n3 (z d) + (-n-/2) z^2 + (n+/2) d^2 + const."""
-    c_zd = complex(x.terms.get(("z", "d"), 0))
-    c_zz = complex(x.terms.get(("z", "z"), 0))
-    c_dd = complex(x.terms.get(("d", "d"), 0))
-    const = complex(x.terms.get((), 0))
-    return sl2.SlVector(c_zd, -2 * c_zz, 2 * c_dd), const
-
-
 def _canonical_matrix(kind, sign, gamma):
     if kind == "bargmann":
         if sign > 0:
@@ -332,85 +324,38 @@ def _wrap_theta(t: float) -> float:
 def reduce_to_canonical(v, mu=0.0, tol=1e-8) -> CanonicalForm:
     """Reduce the isomorphism (a*, a)^T = V (z, d)^T to canonical form.
 
-    Computes the image of a* a + mu symbolically, classifies its quadratic
-    part as an sl2 adjoint orbit, and factors V = V_canonical S with S in
-    the implementable lower-triangular group.  Degenerate orbits (the
-    sigma+ / sigma- classes) do not generate a U(1) regularity subgroup.
+    Factors V = V_canonical S with S = [[alpha, 0], [beta, 1/alpha]] in the
+    implementable group.  The second column (q, t) of V is that of
+    V_canonical divided by alpha, so it fixes the form in closed form:
+    q = 0 is Fock and t = 0 anti-Fock (Bargmann, theta = 0, gamma = 1);
+    otherwise t/q = -sign gamma^2 must be real (Schroedinger V_theta).
+    Under V_canonical, a* a + mu has the constant mu - 1/2 for either sign,
+    so theta = -mu (sign +1) or mu - 1 (sign -1), taken into (-1, 0].
+    S = adj(V_canonical) V, since det V_canonical = 1.  Zero tests are
+    relative to max(1, max |V|).
     """
     v = np.asarray(v, dtype=complex)
     det = v[0, 0] * v[1, 1] - v[0, 1] * v[1, 0]
     if abs(det - 1) > tol:
         raise NotUnimodular(f"det V = {det}")
 
-    gens = HEISENBERG
-    a = AlgebraElement.generator(gens, "a")
-    astar = AlgebraElement.generator(gens, "a*")
-    x = normal_order(astar * a + complex(mu))
-    img = apply_isomorphism([[v[0, 0], v[0, 1]], [v[1, 0], v[1, 1]]], x)
-    n, _const = _quadratic_slvector(img)
-
-    orbit = sl2.classify_orbit(n, tol=tol)
-    if orbit.kind in (sl2.OrbitKind.SIGMA_PLUS, sl2.OrbitKind.SIGMA_MINUS):
-        raise NotRegularizable(
-            f"gauge generator lies on the degenerate orbit {orbit.kind.value}")
-
-    if orbit.kind is sl2.OrbitKind.SIGMA_THREE:
-        lam = orbit.scale
-        if abs(lam - 1) <= tol:
-            sign = +1
-        elif abs(lam + 1) <= tol:
-            sign = -1
-        else:
-            raise NotRegularizable(f"generator scale {lam} is not +-1")
-        gamma = 1.0  # absorbed into S by covariance
-        kind = "bargmann"
-        theta = 0.0
-        can = _canonical_matrix(kind, sign, gamma)
-        s_total = np.linalg.inv(can) @ v
-        if abs(s_total[0, 1]) > tol * max(1.0, np.max(np.abs(v))):
-            raise NotRegularizable("reduction did not land in the triangular group")
-        return CanonicalForm(s_total, sign, kind, theta, gamma)
-
-    # Schroedinger: quadratic of sign*N_S is the vector (0, -sign, -sign)
-    best = None
-    for sign in (+1, -1):
-        try:
-            b = -sign * n.n3
-            aa = -cmath.log(-sign * n.nplus) / 2
-        except ValueError:
-            continue
-        m = sl2.s_from_ab(aa, b)
-        v0 = v @ np.linalg.inv(m)
-        gamma = SQRT2 * v0[1, 0]
-        if abs(gamma) < tol or abs(gamma.imag) > tol * abs(gamma):
-            continue  # gamma is reduced to the positive reals
-        gamma = gamma.real
-        if gamma < 0:
-            gamma = -gamma
-        pattern = _canonical_matrix("schroedinger", sign, gamma)
-        # the overall -1 is S(-1, 0), which acts as the same group element
-        resid = min(np.max(np.abs(v0 - pattern)), np.max(np.abs(v0 + pattern)))
-        if resid <= tol * max(1.0, np.max(np.abs(v0))):
-            best = (sign, gamma, m)
-            break
-    if best is None:
-        raise NotRegularizable("no Schroedinger canonical form matches")
-    sign, gamma, m = best
-
-    can = _canonical_matrix("schroedinger", sign, gamma)
-    s_total = np.linalg.inv(can) @ v
-    if abs(s_total[0, 1]) > tol * max(1.0, np.max(np.abs(v))):
-        s_total = np.linalg.inv(-can) @ v
-        if abs(s_total[0, 1]) > tol * max(1.0, np.max(np.abs(v))):
-            raise NotRegularizable("reduction did not land in the triangular group")
-
-    # theta from the constant part of the conjugated generator
-    img0 = apply_automorphism(
-        [[complex(x) for x in row] for row in np.linalg.inv(s_total)], img, tol=1e-6)
-    _n0, c0 = _quadratic_slvector(img0)
-    excess = c0 + sign * 0.5
-    theta = _wrap_theta(-sign * excess.real)
-    return CanonicalForm(s_total, sign, "schroedinger", theta, gamma)
+    q, t = v[0, 1], v[1, 1]
+    small = tol * max(1.0, np.max(np.abs(v)))
+    if abs(q) <= small or abs(t) <= small:
+        kind, gamma, theta = "bargmann", 1.0, 0.0
+        sign = +1 if abs(q) <= small else -1
+    else:
+        ratio = t / q
+        if abs(ratio.imag) > tol * abs(ratio):
+            raise NotRegularizable("no Schroedinger canonical form matches")
+        kind = "schroedinger"
+        sign = -1 if ratio.real > 0 else +1
+        gamma = math.sqrt(abs(ratio))
+        mu = complex(mu).real
+        theta = _wrap_theta(-mu if sign > 0 else mu - 1)
+    can = _canonical_matrix(kind, sign, gamma)
+    adj = np.array([[can[1, 1], -can[0, 1]], [-can[1, 0], can[0, 0]]])
+    return CanonicalForm(adj @ v, sign, kind, theta, gamma)
 
 
 # ---------------------------------------------------------------------
@@ -429,12 +374,13 @@ def verify_rep(rep: BasisRep, gauge_samples=None, seed=0) -> dict:
     if rep.label == "schroedinger_theta" and rep.params["theta"] + rep.min_level != 0:
         lo = 1
     ccr = (a @ ad - ad @ a - np.eye(n))
-    ccr_res = float(np.max(np.abs(ccr[lo:n - 1, lo:n - 1])))
+    # a one-level section has no stable core; its residuals are 0
+    ccr_res = float(np.max(np.abs(ccr[lo:n - 1, lo:n - 1]), initial=0.0))
 
     star1 = krein_adjoint(a, rep) - ad
     star2 = krein_adjoint(ad, rep) - a
-    star_res = float(max(np.max(np.abs(star1[core, core])),
-                         np.max(np.abs(star2[core, core]))))
+    star_res = float(max(np.max(np.abs(star1[core, core]), initial=0.0),
+                         np.max(np.abs(star2[core, core]), initial=0.0)))
 
     gram_res = 0.0
     if rep.label == "schroedinger_theta":

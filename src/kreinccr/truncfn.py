@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .exceptions import AliasingRisk, SingularTransformation
+from .exceptions import AliasingRisk, ParseError, SingularTransformation
 
 _DROP_TOL = 0.0  # mass-discard detection is exact: any nonzero top term counts
 
@@ -83,9 +83,14 @@ class TruncFn:
 
     @classmethod
     def from_json(cls, text):
-        obj = json.loads(text)
-        c = [complex(re, im) for re, im in obj["coefficients"]]
-        return cls.from_coeffs(c, obj["degree_cap"], obj["exact"])
+        """Inverse of to_json; text of another shape is a ParseError."""
+        try:
+            obj = json.loads(text)
+            c = [complex(re, im) for re, im in obj["coefficients"]]
+            return cls.from_coeffs(c, obj["degree_cap"], obj["exact"])
+        except (KeyError, TypeError, ValueError) as e:
+            raise ParseError(f"TruncFn JSON: {e!r}", offset=getattr(e, "pos", 0),
+                             expected=("coefficients", "degree_cap", "exact")) from None
 
 
 def _align(a: TruncFn, b: TruncFn):

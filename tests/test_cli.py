@@ -1,7 +1,9 @@
 """Command-line interface: dispatch, JSON output, exit codes, stability."""
 
 import json
+import math
 import os
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -249,3 +251,58 @@ def test_import_does_not_load_scipy():
     done = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
                           env={**os.environ, "PYTHONPATH": src}, timeout=60, check=True)
     assert done.stdout.strip() == "[]"
+
+
+@pytest.mark.parametrize("argv", [
+    ("verify-rep", "--rep", "{}"),
+    ("gamma-s", "--alpha", "1", "--beta", "0", "--coeffs-json", "{}"),
+    ("vacuum-descent", "--eta", "+1", "--degree-cap", "3",
+     "--f", "@no-such-dir/missing.json"),
+    ("pcf-eval", "--lam", "abc", "--x", "1"),
+    ("pcf-eval", "--lam", "1/0", "--x", "1"),
+    ("reduce-canonical", "--v", "1,0,0,1", "--mu", "abc"),
+    ("involve", "--c-matrix", "1,0,0,x", "z"),
+    ("multimode-build", "--eta", "2"),
+])
+def test_malformed_cli_input_is_a_parse_error(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == ""
+    assert "Traceback" not in err
+    assert json.loads(err)["code"] == "ParseError"
+
+
+@pytest.mark.parametrize("kind", ["fock", "antifock", "schroedinger"])
+def test_one_level_ladder_verifies(capsys, kind):
+    code, out, err = run_cli(capsys, "verify-rep", "--kind", kind, "--levels", "0")
+    assert code == 0 and err == ""
+    assert all(math.isfinite(r) for r in json.loads(out).values())
+
+
+@pytest.mark.parametrize("kind", ["fock", "antifock", "schroedinger"])
+def test_negative_levels_are_a_domain_error(capsys, kind):
+    code, out, err = run_cli(capsys, "build-rep", "--kind", kind, "--levels", "-1")
+    assert code == 1 and out == ""
+    assert json.loads(err)["code"] == "DomainError"
+
+
+def test_zero_degree_cap_multimode_is_a_domain_error(capsys):
+    code, out, err = run_cli(capsys, "multimode-build", "--eta", "1", "--degree-cap", "0")
+    assert code == 1 and out == ""
+    assert json.loads(err)["code"] == "DomainError"
+
+
+def _readme_cli_lines():
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = text.split("## Command line", 1)[1].split("```sh", 1)[1].split("```", 1)[0]
+    return [line for line in block.splitlines() if line.startswith("kreinccr ")]
+
+
+@pytest.mark.parametrize("line", _readme_cli_lines())
+def test_readme_cli_examples(capsys, monkeypatch, tmp_path, line):
+    (tmp_path / "state.json").write_text('{"cap": 6, "terms": [[[2, 1], [1.0, 0.0]]]}')
+    monkeypatch.chdir(tmp_path)
+    command, _, comment = line.partition(" # ")
+    code, out, err = run_cli(capsys, *shlex.split(command)[1:])
+    assert code == 0 and err == ""
+    if comment.strip().startswith("{"):
+        assert out.strip() == comment.strip()

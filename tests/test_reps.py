@@ -289,3 +289,35 @@ def test_reduce_canonical_rejects_non_unimodular():
     # so only the determinant check can fire on well-formed input
     with pytest.raises(NotUnimodular):
         reduce_to_canonical([[2, 0], [0, 1]])
+
+
+def test_reduce_canonical_non_real_ratio_is_not_regularizable():
+    # unimodular, but t/q = -i is not -sign gamma^2 for a real gamma
+    with pytest.raises(NotRegularizable):
+        reduce_to_canonical([[1, 1j], [0, 1]])
+
+
+@pytest.mark.parametrize("alpha_abs", [0.03, 0.05, 20.0, 30.0])
+def test_reduce_canonical_ill_conditioned_s(alpha_abs):
+    rng = np.random.default_rng(6)
+    for sign in (+1, -1):
+        for gamma in GAMMAS:
+            theta = -rng.random() * 0.9
+            alpha = alpha_abs * np.exp(2j * np.pi * rng.random())
+            beta = 30 * np.exp(2j * np.pi * rng.random())
+            v = canonical_matrix("schroedinger", sign, gamma) @ s_lower(alpha, beta)
+            for shift in (-2, 0, 3):
+                mu = (-theta if sign > 0 else 1 + theta) + shift
+                form = reduce_to_canonical(v, mu=mu)
+                assert (form.kind, form.sign) == ("schroedinger", sign)
+                assert abs(form.theta - theta) < 1e-13
+                assert abs(form.gamma - gamma) < 1e-14 * gamma
+
+
+def test_reduce_canonical_bargmann_theta_is_zero():
+    rng = np.random.default_rng(7)
+    for sign in (+1, -1):
+        v = canonical_matrix("bargmann", sign) @ random_triangular(rng)
+        for mu in (0.0, 0.3, -1.7, 2 + 1j):
+            form = reduce_to_canonical(v, mu=mu)
+            assert (form.kind, form.sign, form.theta, form.gamma) == ("bargmann", sign, 0.0, 1.0)

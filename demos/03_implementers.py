@@ -5,6 +5,10 @@ Gamma_S f(z) = f(alpha z) exp(-alpha beta z^2 / 2) conjugates (z, d/dz)
 to (alpha z, beta z + d/alpha).  The witness against implementing the
 rest of SL(2, C) is the Gaussian annihilated by z + s d/dz, which the
 monomial seminorms cannot control.
+
+The gauge rotations U(s) f(z) = f(e^{is} z) act diagonally on monomials,
+so projecting onto gauge eigenvalue k keeps c_k z^k exactly: it is read
+off the coefficients, with no sampling of U(s).
 """
 
 import numpy as np
@@ -27,9 +31,9 @@ for s in (1, -1, 1j):
 print("growth of the annihilator witness, seminorm at R = 1, 2, 3:",
       [round(seminorm(annihilator_beta_minus(1, 30), r), 3) for r in (1, 2, 3)])
 
-# gauge rotations decompose a truncated function into degree modes
+# gauge eigenvalue k is degree k: each projection is one coefficient
 h = TruncFn.from_coeffs([1.0, 2.0, 3.0, 4.0], degree_cap=8)
 for k in (0, 2, 5):
     proj = fourier_project(rotation_family, h, k)
     print(f"Fourier mode k = {k}: coefficients "
-          f"{np.round(proj.coeffs.real, 10)[:5]}")
+          f"{proj.coeffs.real[:5]}")

@@ -22,9 +22,8 @@ from .algebra import (HEISENBERG, HOLOMORPHIC, AlgebraElement, GeneratorSet,
                       commutator, format_element, multimode_set, normal_order,
                       substitute)
 from .exact import ExactScalar
-from .exceptions import (AliasingRisk, Degenerate, DomainError,
-                         IncompatibleAlgebras, KreinCcrError, NonFinite,
-                         NotHermitian,
+from .exceptions import (Degenerate, DomainError, IncompatibleAlgebras,
+                         KreinCcrError, NonFinite, NotHermitian,
                          NotRegularizable, NotUnimodular,
                          NullSubrepresentation, ParseError,
                          SingularTransformation, ZeroInput, ZeroVector)

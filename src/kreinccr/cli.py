@@ -10,6 +10,7 @@ on success, 1 on domain errors (``NonFinite`` for NaN, Inf or overflow),
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from fractions import Fraction
@@ -103,15 +104,18 @@ def _truncfn_arg(args, cap):
     return truncfn.TruncFn.from_coeffs(coeffs, degree_cap=cap)
 
 
+def _read_text(path):
+    """The text of a file (undecodable bytes replaced); an unreadable file is a ParseError."""
+    try:
+        with open(path, errors="replace") as fh:
+            return fh.read()
+    except OSError as e:
+        raise ParseError(f"cannot read {path!r}: {e.strerror}", offset=0,
+                         expected=("file",)) from None
+
+
 def _maybe_file(text):
-    if text.startswith("@"):
-        try:
-            with open(text[1:]) as fh:
-                return fh.read()
-        except OSError as e:
-            raise ParseError(f"cannot read {text[1:]!r}: {e.strerror}", offset=0,
-                             expected=("file",)) from None
-    return text
+    return _read_text(text[1:]) if text.startswith("@") else text
 
 
 def _eta_arg(text):
@@ -142,22 +146,25 @@ def _truncfn_out(f: truncfn.TruncFn):
 
 
 def load_config(path):
-    """key=value lines; '#' starts a comment."""
+    """key=value lines; '#' starts a comment.  Bad input is a ParseError."""
     out = {}
-    with open(path) as fh:
-        for lineno, line in enumerate(fh, 1):
-            line = line.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ParseError(f"config line {lineno}: expected key=value",
-                                 offset=0, expected=("key=value",))
-            key, _, value = line.partition("=")
-            key = key.strip()
-            if key not in CONFIG_KEYS:
-                raise ParseError(f"config line {lineno}: unknown key {key!r}",
-                                 offset=0, expected=CONFIG_KEYS)
+    for lineno, line in enumerate(_read_text(path).split("\n"), 1):
+        line = line.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise ParseError(f"config line {lineno}: expected key=value",
+                             offset=0, expected=("key=value",))
+        key, _, value = line.partition("=")
+        key = key.strip()
+        if key not in CONFIG_KEYS:
+            raise ParseError(f"config line {lineno}: unknown key {key!r}",
+                             offset=0, expected=CONFIG_KEYS)
+        try:
             out[key] = float(value.strip())
+        except ValueError:
+            raise ParseError(f"config line {lineno}: {key} is not a number",
+                             offset=0, expected=("number",)) from None
     return out
 
 
@@ -212,7 +219,7 @@ def cmd_gamma_s(args, cfg):
 def cmd_project(args, cfg):
     cap = args.degree_cap if args.degree_cap is not None else int(cfg["degree_cap"])
     f = _truncfn_arg(args, cap)
-    g = truncfn.fourier_project(truncfn.rotation_family, f, args.k, args.nodes)
+    g = truncfn.fourier_project(truncfn.rotation_family, f, args.k)
     return _truncfn_out(g)
 
 
@@ -306,6 +313,7 @@ def cmd_vacuum_descent(args, cfg):
 
 # -- argument wiring ---------------------------------------------------
 
+@functools.cache  # built once per process: building it costs more than most verbs
 def build_parser():
     top = argparse.ArgumentParser(
         prog="kreinccr",
@@ -353,7 +361,6 @@ def build_parser():
 
     p = sub.add_parser("project", help="Fourier projection onto a gauge mode")
     p.add_argument("--k", type=int, required=True)
-    p.add_argument("--nodes", type=int)
     p.add_argument("--coeffs")
     p.add_argument("--coeffs-json")
     p.add_argument("--degree-cap", type=int)

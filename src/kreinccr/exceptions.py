@@ -29,12 +29,6 @@ class SingularTransformation(KreinCcrError):
     code = "SingularTransformation"
 
 
-class AliasingRisk(KreinCcrError):
-    """Warning-level: too few quadrature nodes for the requested degree."""
-
-    code = "AliasingRisk"
-
-
 class DomainError(KreinCcrError):
     code = "DomainError"
 

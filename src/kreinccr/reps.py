@@ -90,17 +90,23 @@ class BasisRep:
 
         try:
             obj = json.loads(text)
-            n = obj["size"]
+            n, params = obj["size"], obj["params"]
+            # verify_rep reads both diagonals and a Schroedinger Gram's parameters
+            if len(obj["gauge_diagonal"]) != n or len(obj["gram_diagonal"]) != n:
+                raise ValueError(f"a diagonal's length differs from size {n}")
+            if obj["label"] == "schroedinger_theta" and not all(
+                    type(params.get(k)) in (int, float) for k in ("theta", "gamma")):
+                raise ValueError("schroedinger_theta needs real theta and gamma params")
             return cls(
                 label=obj["label"],
                 a_mat=unband(obj["a_band"], n),
                 adag_mat=unband(obj["adag_band"], n),
                 gauge_diag=np.array([complex(*v) for v in obj["gauge_diagonal"]]),
                 gram_diag=np.array(obj["gram_diagonal"], dtype=float),
-                params=obj["params"],
+                params=params,
                 min_level=obj["min_level"],
             )
-        except (KeyError, TypeError, ValueError, IndexError) as e:
+        except (KeyError, TypeError, ValueError, IndexError, AttributeError) as e:
             raise ParseError(f"representation JSON: {e!r}", offset=getattr(e, "pos", 0),
                              expected=("size", "a_band", "adag_band")) from None
 

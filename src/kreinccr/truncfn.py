@@ -7,15 +7,13 @@ genuinely entire objects like exp(-z^2/2) remain representable.
 
 from __future__ import annotations
 
-import cmath
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .exceptions import AliasingRisk, ParseError, SingularTransformation
+from .exceptions import DomainError, ParseError, SingularTransformation
 
-_DROP_TOL = 0.0  # mass-discard detection is exact: any nonzero top term counts
 
 
 @dataclass(frozen=True, eq=False)
@@ -199,22 +197,16 @@ def rotation_family(s, f: TruncFn) -> TruncFn:
     return TruncFn(f.coeffs * phases, f.exact)
 
 
-def fourier_project(family, f: TruncFn, k: int, nodes: int = None) -> TruncFn:
-    """DFT discretization of (2 pi)^{-1} int U(s) e^{-iks} f ds.
+def fourier_project(family, f: TruncFn, k: int) -> TruncFn:
+    """Projection (2 pi)^{-1} int U(s) e^{-iks} f ds onto gauge eigenvalue k.
 
-    ``family`` maps (s, TruncFn) -> TruncFn.  Mode n lands on mode k when
-    n - k is a multiple of nodes, so nodes must be at least D+1 and exceed
-    |n - k| for every n in 0..D; the projection of the rotation family is
-    then exact on trigonometric polynomials.
+    ``family`` must be ``rotation_family``: U(s) z^n = e^{ins} z^n is
+    diagonal, so the projection is exactly c_k z^k, and zero for k outside
+    0..D.  Truncation loses nothing more, so ``exact`` is ``f.exact``.
     """
-    d = f.degree_cap
-    if nodes is None:
-        nodes = 4 * (d + 1)
-    need = max(d, k, d - k) + 1
-    if nodes < need:
-        raise AliasingRisk(f"{nodes} nodes < {need}: modes 0..{d} alias onto mode {k}")
-    acc = np.zeros(d + 1, dtype=complex)
-    for j in range(nodes):
-        s = 2 * np.pi * j / nodes
-        acc += cmath.exp(-1j * k * s) * family(s, f).coeffs
-    return TruncFn(acc / nodes, exact=False)
+    if family is not rotation_family:
+        raise DomainError("fourier_project is closed-form for rotation_family only")
+    c = np.zeros_like(f.coeffs)
+    if 0 <= k <= f.degree_cap:
+        c[k] = f.coeffs[k]
+    return TruncFn(c, f.exact)

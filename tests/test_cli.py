@@ -6,11 +6,13 @@ import os
 import shlex
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
 
-from kreinccr.cli import emit_json, load_config, main
+from kreinccr.cli import build_parser, emit_json, load_config, main
+from kreinccr.reps import build_schroedinger_theta
 
 
 def run_cli(capsys, *argv):
@@ -170,6 +172,17 @@ def test_config_rejects_unknown_keys(tmp_path):
         load_config(str(cfg))
 
 
+@pytest.mark.parametrize("content", [None, "tolerance = abc\n"],
+                         ids=["missing", "non-numeric"])
+def test_unreadable_or_non_numeric_config_is_a_parse_error(capsys, tmp_path, content):
+    cfg = tmp_path / "kreinccr.conf"
+    if content is not None:
+        cfg.write_text(content)
+    code, out, err = run_cli(capsys, "--config", str(cfg), "normal-order", "a")
+    assert code == 2 and out == ""
+    assert json.loads(err)["code"] == "ParseError"
+
+
 def test_emit_json_formatting():
     assert emit_json({"b": 1, "a": 0.5}) == '{"a":0.5,"b":1}'
     assert emit_json([True, None, "x"]) == '[true,null,"x"]'
@@ -306,3 +319,51 @@ def test_readme_cli_examples(capsys, monkeypatch, tmp_path, line):
     assert code == 0 and err == ""
     if comment.strip().startswith("{"):
         assert out.strip() == comment.strip()
+
+
+def test_parser_is_reused_without_carrying_state(capsys):
+    build_parser.cache_clear()
+    usage = []
+    for _ in range(2):
+        with pytest.raises(SystemExit) as e:
+            main(["project", "--k", "x"])
+        usage.append((e.value.code, capsys.readouterr()))
+        # a value given in one call is not the default of the next
+        code, out, _ = run_cli(capsys, "project", "--k", "1", "--coeffs", "1,1",
+                               "--degree-cap", "2")
+        assert code == 0 and json.loads(out)["degree_cap"] == 2
+        code, out, _ = run_cli(capsys, "project", "--k", "1", "--coeffs", "1,1")
+        assert code == 0 and json.loads(out)["degree_cap"] == 16
+    assert usage[0] == usage[1]
+    assert usage[0][0] == 2 and "usage: kreinccr project" in usage[0][1].err
+
+
+def test_repeated_in_process_calls_are_cheap(capsys):
+    main(["normal-order", "a"])
+    start = time.perf_counter()
+    for _ in range(100):
+        main(["normal-order", "a"])
+    elapsed = time.perf_counter() - start
+    capsys.readouterr()
+    assert elapsed < 0.2
+
+
+def _rep_doc(**changes):
+    doc = json.loads(build_schroedinger_theta(theta=-0.5, gamma=2.0, levels=3).to_json())
+    return json.dumps({**doc, **changes})
+
+
+@pytest.mark.parametrize("changes", [
+    {"params": {}},                                   # no theta: KeyError in verify_rep
+    {"params": {"theta": -0.5}},                      # no gamma
+    {"size": 1, "a_band": {"lower": [], "upper": []},
+     "adag_band": {"lower": [], "upper": []}},       # 4-entry diagonals at size 1
+    {"gram_diagonal": [1.0, 2.0, 3.0]},               # Gram shorter than size
+    {"gauge_diagonal": [[0.0, 0.0]] * 5},             # gauge longer than size
+    {"a_band": {"lower": [[0.0, 0.0]] * 4, "upper": []}},  # a band longer than size - 1
+], ids=["no-theta", "no-gamma", "size-1", "short-gram", "long-gauge", "long-band"])
+def test_inconsistent_rep_json_is_a_parse_error(capsys, changes):
+    assert run_cli(capsys, "verify-rep", "--rep", _rep_doc())[0] == 0
+    code, out, err = run_cli(capsys, "verify-rep", "--rep", _rep_doc(**changes))
+    assert code == 2 and out == ""
+    assert json.loads(err)["code"] == "ParseError"

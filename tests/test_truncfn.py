@@ -11,7 +11,7 @@ import cmath
 import numpy as np
 import pytest
 
-from kreinccr.exceptions import AliasingRisk, SingularTransformation
+from kreinccr.exceptions import DomainError, SingularTransformation
 from kreinccr.truncfn import (TruncFn, annihilator_beta_minus, apply_dz,
                               apply_z, exp_quadratic, fourier_project,
                               gamma_S, gamma_S_inverse, multiply,
@@ -130,15 +130,59 @@ def test_rotation_family_and_projection():
     assert np.max(np.abs(empty.coeffs)) < 1e-12
 
 
+class Aliasing(Exception):
+    """The sampled reference has too few nodes to separate mode k."""
+
+
+def sampled_projection(family, f, ks, nodes=None):
+    """Reference: the sampled DFT fourier_project computed before its closed
+    form, (1/nodes) sum_j e^{-i k s_j} family(s_j, f) at s_j = 2 pi j / nodes,
+    one row per k in ks, with 4 (D+1) nodes by default.
+
+    Mode n lands on mode k when n - k is a multiple of nodes, so nodes must
+    be at least D+1 and exceed |n - k| for every n in 0..D.
+    """
+    d = f.degree_cap
+    if nodes is None:
+        nodes = 4 * (d + 1)
+    for k in ks:
+        need = max(d, k, d - k) + 1
+        if nodes < need:
+            raise Aliasing(f"{nodes} nodes < {need}: modes 0..{d} alias onto mode {k}")
+    ks = np.asarray(ks)
+    acc = np.zeros((len(ks), d + 1), dtype=complex)
+    for j in range(nodes):
+        s = 2 * np.pi * j / nodes
+        acc += np.exp(-1j * ks * s)[:, None] * family(s, f).coeffs
+    return acc / nodes
+
+
+@pytest.mark.parametrize("d", [16, 64, 256])
+def test_projection_matches_the_sampled_reference(d):
+    rng = np.random.default_rng(d)
+    f = TruncFn.from_coeffs(rng.standard_normal(d + 1) + 1j * rng.standard_normal(d + 1), d)
+    ks = list(range(-2, d + 3))
+    for k, want in zip(ks, sampled_projection(rotation_family, f, ks)):
+        off = np.arange(d + 1) != k
+        for g in (f, TruncFn(f.coeffs, exact=False)):
+            got = fourier_project(rotation_family, g, k)
+            assert np.max(np.abs(got.coeffs - want)) < 1e-12
+            # off mode k the closed form is exactly zero, not rounding noise
+            assert not np.any(got.coeffs[off])
+            assert got.exact is g.exact
+
+
 def test_projection_aliasing_guard():
     f = TruncFn.from_coeffs(np.ones(9), 8)
-    with pytest.raises(AliasingRisk):
-        fourier_project(rotation_family, f, 0, nodes=5)
+    with pytest.raises(Aliasing):
+        sampled_projection(rotation_family, f, [0], nodes=5)
     # exactly D+1 nodes is the minimum that resolves every mode
-    proj = fourier_project(rotation_family, f, 3, nodes=9)
-    want = np.zeros(9)
-    want[3] = 1
-    assert np.max(np.abs(proj.coeffs - want)) < 1e-12
+    want = np.eye(9)
+    ref = sampled_projection(rotation_family, f, [3], nodes=9)[0]
+    assert np.max(np.abs(ref - want[3])) < 1e-12
+    # the closed form takes no nodes and is exact
+    for k in (0, 3):
+        assert np.array_equal(fourier_project(rotation_family, f, k).coeffs, want[k])
 
 
 @pytest.mark.parametrize("ones, cap, k, nodes", [
@@ -150,16 +194,25 @@ def test_projection_aliasing_guard():
 ])
 def test_projection_aliasing_guard_outside_the_cap(ones, cap, k, nodes):
     f = TruncFn.from_coeffs(np.ones(ones), cap)
-    with pytest.raises(AliasingRisk):
-        fourier_project(rotation_family, f, k, nodes=nodes)
+    with pytest.raises(Aliasing):
+        sampled_projection(rotation_family, f, [k], nodes=nodes)
+    assert np.array_equal(fourier_project(rotation_family, f, k).coeffs, np.zeros(cap + 1))
 
 
 @pytest.mark.parametrize("k, nodes", [(68, 69), (-60, 77)])
 def test_projection_outside_the_cap_with_enough_nodes(k, nodes):
     # a mode outside 0..D needs more nodes than its distance to each of them
     f = TruncFn.from_coeffs(np.ones(17), 16)
-    proj = fourier_project(rotation_family, f, k, nodes=nodes)
-    assert np.max(np.abs(proj.coeffs)) < 1e-12
+    ref = sampled_projection(rotation_family, f, [k], nodes=nodes)[0]
+    assert np.max(np.abs(ref)) < 1e-12
+    assert np.array_equal(fourier_project(rotation_family, f, k).coeffs, np.zeros(17))
+
+
+def test_projection_of_another_family_is_a_domain_error():
+    # U(2s) would project mode 2k onto k: the closed form is not its answer
+    f = TruncFn.from_coeffs([1, 1, 1], 4)
+    with pytest.raises(DomainError):
+        fourier_project(lambda s, g: rotation_family(2 * s, g), f, 1)
 
 
 def test_json_round_trip():

@@ -137,6 +137,14 @@ def _state_arg(text, cap):
     return state
 
 
+def _degree_cap(args, cfg):
+    """--degree-cap, else the configured one; a negative cap is a DomainError."""
+    cap = args.degree_cap if args.degree_cap is not None else int(cfg["degree_cap"])
+    if cap < 0:
+        raise DomainError(f"degree cap {cap} is negative", degree_cap=cap)
+    return cap
+
+
 def _truncfn_out(f: truncfn.TruncFn):
     return {
         "degree_cap": f.degree_cap,
@@ -165,6 +173,9 @@ def load_config(path):
         except ValueError:
             raise ParseError(f"config line {lineno}: {key} is not a number",
                              offset=0, expected=("number",)) from None
+        if key == "degree_cap" and not out[key].is_integer():
+            raise ParseError(f"config line {lineno}: degree_cap is not a whole number",
+                             offset=0, expected=("integer",))
     return out
 
 
@@ -205,7 +216,7 @@ def cmd_classify_orbit(args, cfg):
 
 
 def cmd_gamma_s(args, cfg):
-    cap = args.degree_cap if args.degree_cap is not None else int(cfg["degree_cap"])
+    cap = _degree_cap(args, cfg)
     f = _truncfn_arg(args, cap)
     alpha = _number(args.alpha)
     beta = _number(args.beta)
@@ -217,7 +228,7 @@ def cmd_gamma_s(args, cfg):
 
 
 def cmd_project(args, cfg):
-    cap = args.degree_cap if args.degree_cap is not None else int(cfg["degree_cap"])
+    cap = _degree_cap(args, cfg)
     f = _truncfn_arg(args, cap)
     g = truncfn.fourier_project(truncfn.rotation_family, f, args.k)
     return _truncfn_out(g)
@@ -259,7 +270,7 @@ def cmd_verify_rep(args, cfg):
         rep = reps.BasisRep.from_json(_maybe_file(args.rep))
     else:
         rep = _build_rep(args)
-    return reps.verify_rep(rep, seed=args.seed)
+    return reps.verify_rep(rep)
 
 
 def cmd_reduce_canonical(args, cfg):
@@ -276,7 +287,7 @@ def cmd_reduce_canonical(args, cfg):
 
 
 def cmd_multimode_build(args, cfg):
-    cap = args.degree_cap if args.degree_cap is not None else int(cfg["degree_cap"])
+    cap = _degree_cap(args, cfg)
     eta = _eta_arg(args.eta)
     rep = multimode.build_multimode_rep(eta, cap)
     signs = [int(s) for s in np.sign(rep.gram_diag)]
@@ -291,7 +302,7 @@ def cmd_multimode_build(args, cfg):
 
 
 def cmd_spectral_check(args, cfg):
-    cap = args.degree_cap if args.degree_cap is not None else int(cfg["degree_cap"])
+    cap = _degree_cap(args, cfg)
     eta = _eta_arg(args.eta)
     rep = multimode.build_multimode_rep(eta, cap)
     f = _state_arg(args.f, cap)
@@ -302,7 +313,7 @@ def cmd_spectral_check(args, cfg):
 
 
 def cmd_vacuum_descent(args, cfg):
-    cap = args.degree_cap if args.degree_cap is not None else int(cfg["degree_cap"])
+    cap = _degree_cap(args, cfg)
     eta = _eta_arg(args.eta)
     rep = multimode.build_multimode_rep(eta, cap)
     f = _state_arg(args.f, cap)
@@ -389,7 +400,6 @@ def build_parser():
     p = sub.add_parser("verify-rep", help="residuals of the defining identities")
     rep_args(p)
     p.add_argument("--rep", help="representation JSON (or @file); overrides --kind")
-    p.add_argument("--seed", type=int, default=0)
     p.set_defaults(fn=cmd_verify_rep)
 
     p = sub.add_parser("reduce-canonical",

@@ -4,6 +4,7 @@ Each test prints "PASS criterion N: ..." when its assertions hold; run
 with ``pytest -v`` (or ``-s`` to see the lines on success).
 """
 
+import dataclasses
 import json
 import math
 import random
@@ -280,30 +281,60 @@ def _all_reps():
     return reps
 
 
+def _sampled_gauge_residuals(rep, rng, samples=100):
+    """The reference: simulate U(s) = exp(isN) at random s on random vectors."""
+    n = rep.size
+    f = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    g = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    base = rep.inner(f, g)
+    iso = cov = 0.0
+    for s in rng.uniform(0, 2 * np.pi, size=samples):
+        u = gauge_unitary(rep, s)
+        iso = max(iso, abs(rep.inner(u @ f, u @ g) - base) / max(1.0, abs(base)))
+        resid = u @ rep.a_mat - np.exp(-1j * s) * rep.a_mat @ u
+        cov = max(cov, float(np.max(np.abs(resid))))
+    return iso, cov
+
+
 def test_criterion_09_gauge_isometry_covariance():
     rng = np.random.default_rng(109)
     worst_iso = 0.0
     worst_cov = 0.0
     for rep in _all_reps():
-        n = rep.size
-        f = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-        g = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-        base = rep.inner(f, g)
         # the band structure is the exact statement of covariance:
         # every nonzero entry of pi(a) lowers the gauge eigenvalue by 1
         rows, cols = np.nonzero(rep.a_mat)
         assert np.max(np.abs(rep.gauge_diag[rows] - rep.gauge_diag[cols] + 1)) < 1e-12
-        for s in rng.uniform(0, 2 * np.pi, size=100):
-            u = gauge_unitary(rep, s)
-            worst_iso = max(worst_iso,
-                            abs(rep.inner(u @ f, u @ g) - base) / max(1.0, abs(base)))
-            resid = u @ rep.a_mat - np.exp(-1j * s) * rep.a_mat @ u
-            worst_cov = max(worst_cov, float(np.max(np.abs(resid))))
+        iso, cov = _sampled_gauge_residuals(rep, rng)
+        worst_iso = max(worst_iso, iso)
+        worst_cov = max(worst_cov, cov)
     assert worst_iso < 1e-10
     assert worst_cov < 1e-10
     print(f"PASS criterion 9: Krein isometry residual {worst_iso:.2e} < 1e-10, "
           f"covariance residual {worst_cov:.2e} (band structure exact) over "
           f"100 gauge samples per representation")
+
+
+def test_criterion_09_generator_residuals_match_the_sampled_reference():
+    # verify_rep reads the gauge residuals off the generator; each must be
+    # zero to rounding exactly when the simulated U(s) one is
+    rng = np.random.default_rng(9)
+    fock = build_fock_bargmann(12)
+    a = fock.a_mat.copy()
+    a[2, 5] += 0.25 - 0.5j
+    gauge = fock.gauge_diag.copy()
+    gauge[-1] += 0.5j
+    broken = [dataclasses.replace(fock, a_mat=a), dataclasses.replace(fock, gauge_diag=gauge)]
+    zero = 1e-10
+    for rep in _all_reps() + broken:
+        report = verify_rep(rep)
+        iso, cov = _sampled_gauge_residuals(rep, rng)
+        assert (report["gauge_isometry_max_residual"] < zero) == (iso < zero), rep.label
+        assert (report["gauge_covariance_max_residual"] < zero) == (cov < zero), rep.label
+    assert verify_rep(broken[0])["gauge_covariance_max_residual"] > 0.1
+    assert verify_rep(broken[1])["gauge_isometry_max_residual"] > 0.1
+    print(f"PASS criterion 9: generator residuals vanish exactly where the sampled "
+          f"ones do, on {len(_all_reps())} representations and 2 broken gauges")
 
 
 # -- criterion 10 ------------------------------------------------------

@@ -183,6 +183,42 @@ def test_unreadable_or_non_numeric_config_is_a_parse_error(capsys, tmp_path, con
     assert json.loads(err)["code"] == "ParseError"
 
 
+@pytest.mark.parametrize("value", ["2.5", "inf", "nan"])
+def test_fractional_config_degree_cap_is_a_parse_error(capsys, tmp_path, value):
+    cfg = tmp_path / "kreinccr.conf"
+    cfg.write_text(f"degree_cap = {value}\n")
+    code, out, err = run_cli(capsys, "--config", str(cfg), "project",
+                             "--k", "1", "--coeffs", "1")
+    assert code == 2 and out == ""
+    doc = json.loads(err)
+    assert doc["code"] == "ParseError" and "degree_cap" in doc["error"]
+
+
+_STATE = '{"cap": 3, "terms": [[[1], [1.0, 0.0]]]}'
+
+
+@pytest.mark.parametrize("argv", [
+    ("gamma-s", "--alpha", "1", "--beta", "0.5", "--coeffs", "1,1"),
+    ("project", "--k", "1", "--coeffs", "1"),
+    ("multimode-build", "--eta", "1"),
+    ("spectral-check", "--eta", "1", "--f", _STATE, "--g", _STATE),
+    ("vacuum-descent", "--eta", "1", "--f", _STATE),
+])
+@pytest.mark.parametrize("source", ["flag", "config"])
+def test_negative_degree_cap_is_a_domain_error(capsys, tmp_path, argv, source):
+    if source == "flag":
+        argv = (*argv, "--degree-cap", "-3")
+    else:
+        cfg = tmp_path / "kreinccr.conf"
+        cfg.write_text("degree_cap = -3\n")
+        argv = ("--config", str(cfg), *argv)
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 1 and out == ""
+    doc = json.loads(err)
+    assert (doc["code"], doc["degree_cap"]) == ("DomainError", -3)
+    assert "-3" in doc["error"]
+
+
 def test_emit_json_formatting():
     assert emit_json({"b": 1, "a": 0.5}) == '{"a":0.5,"b":1}'
     assert emit_json([True, None, "x"]) == '[true,null,"x"]'
@@ -248,12 +284,32 @@ def test_gram_overflow_is_a_domain_error(capsys, argv, level):
 
 
 def test_overflow_in_a_verb_is_a_non_finite_error(capsys):
-    # the Gram is finite at 134 levels, but verify_rep's inner products are not
-    code, out, err = run_cli(capsys, "verify-rep", "--kind", "schroedinger",
-                             "--theta", "-0.5", "--gamma", "2", "--levels", "134")
+    # q = n3^2 + nminus nplus overflows a float inside classify_orbit
+    code, out, err = run_cli(capsys, "classify-orbit", "--n3", "1e200",
+                             "--nminus", "1e200", "--nplus", "1e200")
     assert code == 1 and out == ""
     assert "Traceback" not in err
     assert json.loads(err)["code"] == "NonFinite"
+
+
+@pytest.mark.parametrize("sign", ["1", "-1"])
+def test_verify_rep_at_the_last_finite_gram_level(capsys, sign):
+    # the Gram at gamma = 2 is finite up to 134 levels; the residuals never
+    # multiply Gram entries, so they stay finite there
+    code, out, err = run_cli(capsys, "verify-rep", "--kind", "schroedinger",
+                             "--theta", "-0.5", "--gamma", "2", "--levels", "134",
+                             "--sign", sign)
+    assert code == 0 and err == ""
+    report = json.loads(out)
+    assert len(report) == 5
+    assert all(math.isfinite(r) and r < 1e-10 for r in report.values())
+
+
+def test_verify_rep_has_no_seed(capsys):
+    with pytest.raises(SystemExit) as e:
+        main(["verify-rep", "--seed", "1"])
+    assert e.value.code == 2
+    assert "unrecognized arguments: --seed" in capsys.readouterr().err
 
 
 def test_import_does_not_load_scipy():
@@ -361,7 +417,11 @@ def _rep_doc(**changes):
     {"gram_diagonal": [1.0, 2.0, 3.0]},               # Gram shorter than size
     {"gauge_diagonal": [[0.0, 0.0]] * 5},             # gauge longer than size
     {"a_band": {"lower": [[0.0, 0.0]] * 4, "upper": []}},  # a band longer than size - 1
-], ids=["no-theta", "no-gamma", "size-1", "short-gram", "long-gauge", "long-band"])
+    {"params": {"theta": -0.5, "gamma": 2.0, "sign": "x"}},  # sign not +-1
+    {"params": {"theta": -0.5, "gamma": 2.0, "sign": True}},  # JSON true is not +1
+    {"min_level": "x"},                               # min_level not an integer
+], ids=["no-theta", "no-gamma", "size-1", "short-gram", "long-gauge", "long-band",
+        "text-sign", "bool-sign", "text-min-level"])
 def test_inconsistent_rep_json_is_a_parse_error(capsys, changes):
     assert run_cli(capsys, "verify-rep", "--rep", _rep_doc())[0] == 0
     code, out, err = run_cli(capsys, "verify-rep", "--rep", _rep_doc(**changes))

@@ -150,21 +150,36 @@ def test_verify_rep_detects_broken_gauge_covariance_and_isometry():
     rep = build_fock_bargmann(10)
     base = verify_rep(rep)
     assert base["gauge_covariance_max_residual"] == 0
-    assert base["gauge_isometry_max_residual"] < 1e-12
+    assert base["gauge_isometry_max_residual"] == 0
 
-    # an entry of pi(a) that lowers the gauge eigenvalue by 3, not by 1
+    # an entry of pi(a) that lowers the gauge eigenvalue by 3, not by 1:
+    # ([N, pi(a)] + pi(a))_25 = (2 - 5 + 1) entry
     entry = 0.25 - 0.5j
     a = rep.a_mat.copy()
     a[2, 5] += entry
     report = verify_rep(dataclasses.replace(rep, a_mat=a))
-    assert report["gauge_covariance_max_residual"] >= 0.1 * abs(entry)
+    assert report["gauge_covariance_max_residual"] == pytest.approx(2 * abs(entry), rel=1e-15)
 
-    # a non-real gauge eigenvalue makes U(s) stretch that basis vector;
-    # the top level carries the largest Gram weight
+    # a non-real gauge eigenvalue makes U(s) stretch that basis vector:
+    # N^[*] - N = -2i Im N
     gauge = rep.gauge_diag.copy()
     gauge[-1] += 0.5j
     report = verify_rep(dataclasses.replace(rep, gauge_diag=gauge))
-    assert report["gauge_isometry_max_residual"] > 0.01
+    assert report["gauge_isometry_max_residual"] == 1.0
+
+
+def test_verify_rep_reads_the_star_property_on_the_support_of_either_side():
+    # pi(a)^T is zero at (3, 6), so only pi(a*) has an entry there; the
+    # Krein adjoint of pi(a) is zero at (3, 6) and the residual is the entry
+    rep = build_fock_bargmann(10)
+    assert rep.a_mat.T[3, 6] == 0 and rep.adag_mat[3, 6] == 0
+    entry = 0.75 + 1j
+    ad = rep.adag_mat.copy()
+    ad[3, 6] += entry
+    report = verify_rep(dataclasses.replace(rep, adag_mat=ad))
+    # the other identity, pi(a*)^[*] = pi(a), sees it at (6, 3) scaled by g_3 / g_6
+    assert report["star_property_max_residual"] == pytest.approx(abs(entry), rel=1e-15)
+    assert verify_rep(rep)["star_property_max_residual"] < 1e-12
 
 
 def test_scaling_intertwiner():

@@ -2,8 +2,10 @@
 
 The representation on multivariate polynomials carries the signed Gram
 prod n_i! (-1)^{n_i (1 - eta_i)/2}; its gauge generator has spectrum
-{0, ..., D}, the desk-scale spectral condition, and any nonzero state
-descends to the vacuum ray by repeated annihilation.
+{0, ..., D}, the desk-scale spectral condition.  Any nonzero state
+descends to the vacuum ray: annihilating the lowest Fourier component
+mode by mode leaves c_n prod n_i! for its lexicographically largest
+multi-index n, and vacuum_descent reads that off without walking.
 """
 
 import numpy as np

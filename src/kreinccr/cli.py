@@ -255,7 +255,7 @@ def _build_rep(args):
     if args.kind == "fock":
         return reps.build_fock_bargmann(args.levels)
     if args.kind == "antifock":
-        return reps.build_antifock(args.levels, args.flavor)
+        return reps.build_antifock(args.levels)
     return reps.build_schroedinger_theta(
         theta=args.theta, gamma=args.gamma, levels=args.levels,
         sign=args.sign, min_level=args.min_level)
@@ -390,8 +390,6 @@ def build_parser():
         p.add_argument("--gamma", type=float, default=1.0)
         p.add_argument("--sign", type=int, choices=(1, -1), default=1)
         p.add_argument("--min-level", type=int, default=0)
-        p.add_argument("--flavor", choices=("bargmann", "schroedinger"),
-                       default="bargmann")
 
     p = sub.add_parser("build-rep", help="build a representation and print it")
     rep_args(p)

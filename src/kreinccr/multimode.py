@@ -18,6 +18,7 @@ import json
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import combinations_with_replacement
 
 import numpy as np
 
@@ -45,9 +46,6 @@ class EtaSignature:
         if 1 <= i <= len(self.values):
             return self.values[i - 1]
         return 1
-
-    def generator_set(self):
-        return multimode_set(list(self.values))
 
 
 class MultiIndexState:
@@ -222,11 +220,6 @@ class MultiModeRep:
             v[self.index[idx]] += c
         return v
 
-    def state(self, v, tol=0.0):
-        return MultiIndexState(
-            {self.basis[i]: v[i] for i in range(self.size) if abs(v[i]) > tol},
-            self.cap)
-
     def inner(self, f, g):
         """Krein inner product of two MultiIndexStates (or vectors)."""
         if isinstance(f, MultiIndexState):
@@ -238,19 +231,9 @@ class MultiModeRep:
 
 def _monomials(m, cap):
     """All multi-indices over m modes with total degree <= cap, graded order."""
-    res = []
-    for d in range(cap + 1):
-        level = []
-        def rec(prefix, remaining, left):
-            if remaining == 0:
-                if left == 0:
-                    level.append(_strip(tuple(prefix)))
-                return
-            for n in range(left + 1):
-                rec(prefix + [n], remaining - 1, left - n)
-        rec([], m, d)
-        res.extend(sorted(level))
-    return res
+    return [idx for d in range(cap + 1)
+            for idx in sorted(_strip(tuple(modes.count(i) for i in range(m)))
+                              for modes in combinations_with_replacement(range(m), d))]
 
 
 def build_multimode_rep(eta: EtaSignature, cap: int) -> MultiModeRep:
@@ -313,25 +296,19 @@ def vacuum_descent(rep: MultiModeRep, f: MultiIndexState,
                    tol=1e-12) -> MultiIndexState:
     """Extract a vector annihilated by every pi(a_i) from a nonzero state.
 
-    Projects onto the lowest nonzero total-degree (Fourier) component and
-    walks it down with annihilators; in this representation the result is
-    always on the constant-monomial ray.
+    Coefficients at or below tol count as zero.  Take the lowest nonzero
+    total-degree (Fourier) component and descend it with the annihilators,
+    lowest mode first: pi(a_1) = d/dz_1 while it leaves a nonzero vector,
+    then pi(a_2), and so on.  Each stage keeps only the terms of largest
+    n_i, so the descent ends at c_n prod_i n_i! on the constant-monomial
+    ray, for the lexicographically largest multi-index n of that component;
+    that value is returned without walking.  A term outside the
+    representation is a DomainError.
     """
     if f.is_zero(tol):
         raise ZeroInput("vacuum descent needs a nonzero state")
-    v = rep.vector(f)
-    k = rep.gauge_diag[np.abs(v) > tol].min()
-    cur = np.where(rep.gauge_diag == k, v, 0)
-    steps = 0
-    while steps <= k:
-        progressed = False
-        for mode0 in range(rep.modes):
-            cand = rep.a_mats[mode0] @ cur
-            if np.max(np.abs(cand)) > tol:
-                cur = cand
-                progressed = True
-                steps += 1
-                break
-        if not progressed:
-            break
-    return rep.state(cur, tol=tol)
+    rep.vector(f)  # a term outside the representation is a DomainError
+    live = [idx for idx, c in f.terms.items() if abs(c) > tol]
+    k = min(map(sum, live))
+    n = max(idx for idx in live if sum(idx) == k)
+    return MultiIndexState({(): f.terms[n] * math.prod(map(math.factorial, n))}, rep.cap)

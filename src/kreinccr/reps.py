@@ -6,12 +6,14 @@ diagonal Gram.  Builders cover the Fock/anti-Fock Bargmann forms and the
 parabolic-cylinder (Schroedinger) family V_theta; utilities provide the
 Krein adjoint, gauge isometries, scaling intertwiners, canonical-form
 reduction of a general unimodular isomorphism, and the null-subspace
-diagnosis for theta = 0 windows that dip below level zero.
+diagnosis for windows that reach the zero of the ladder factor.
 
-The reduction is in closed form: in V = V_canonical S the second column
-of V is that of V_canonical up to the factor 1/alpha of S, so it fixes
-kind, sign and gamma (t/q = -sign gamma^2 for V = [[p, q], [r, t]]), mu
-fixes theta, and S = adj(V_canonical) V.
+Both the reduction and the diagnosis are in closed form.  In
+V = V_canonical S the second column of V is that of V_canonical up to the
+factor 1/alpha of S, so it fixes kind, sign and gamma (t/q = -sign gamma^2
+for V = [[p, q], [r, t]]), mu fixes theta, and S = adj(V_canonical) V.
+The ladder factor gamma^2 (theta + k) vanishes only at k = -theta, so
+theta alone decides which levels a window forces to a null subspace.
 """
 
 from __future__ import annotations
@@ -36,7 +38,7 @@ class BasisRep:
     a_mat: np.ndarray      # pi(a)
     adag_mat: np.ndarray   # pi(a*)
     gauge_diag: np.ndarray  # diagonal of the gauge generator
-    gram_diag: np.ndarray   # real, nonzero
+    gram_diag: np.ndarray   # real, finite, nonzero
     params: dict = field(default_factory=dict)
     min_level: int = 0
 
@@ -96,6 +98,9 @@ class BasisRep:
                 raise ValueError(f"a diagonal's length differs from size {n}")
             if type(obj["min_level"]) is not int:
                 raise ValueError("min_level must be an integer")
+            gram = np.array(obj["gram_diagonal"], dtype=float)
+            if not np.all(np.isfinite(gram) & (gram != 0)):
+                raise ValueError("gram_diagonal entries must be finite and nonzero")
             if obj["label"] == "schroedinger_theta":
                 if not all(type(params.get(k)) in (int, float) for k in ("theta", "gamma")):
                     raise ValueError("schroedinger_theta needs real theta and gamma params")
@@ -107,7 +112,7 @@ class BasisRep:
                 a_mat=unband(obj["a_band"], n),
                 adag_mat=unband(obj["adag_band"], n),
                 gauge_diag=np.array([complex(*v) for v in obj["gauge_diagonal"]]),
-                gram_diag=np.array(obj["gram_diagonal"], dtype=float),
+                gram_diag=gram,
                 params=params,
                 min_level=obj["min_level"],
             )
@@ -153,17 +158,14 @@ def build_fock_bargmann(levels: int) -> BasisRep:
                    0.0, 1.0, levels, +1)
 
 
-def build_antifock(levels: int, flavor: str = "bargmann") -> BasisRep:
+def build_antifock(levels: int) -> BasisRep:
     """Anti-Fock representation: the cyclic vector is annihilated by a*.
 
-    Bargmann flavor: pi(a) = z (raising), pi(a*) = -d/dz; Gram (-1)^n n!.
+    pi(a) = z (raising), pi(a*) = -d/dz; Gram (-1)^n n!.
     The gauge generator is -n so that U(s) pi(a) U(s)^{-1} = e^{-is} pi(a).
     This is the theta = 0, gamma = 1, sign = -1 member of the V_theta ladder.
     """
-    if flavor not in ("bargmann", "schroedinger"):
-        raise ValueError(f"unknown flavor {flavor!r}")
-    return _ladder(f"antifock_{flavor}",
-                   {"levels": levels, "flavor": flavor, "mu": 0.0},
+    return _ladder("antifock_bargmann", {"levels": levels, "mu": 0.0},
                    0.0, 1.0, levels, -1)
 
 
@@ -196,7 +198,8 @@ def _ladder(label, params, theta, gamma, levels, sign, min_level=0):
     g_k = sign gamma^2 (theta + k) g_{k-1}, walked up from level 0 and,
     below it, down.  The sign = -1 Gram is (-1)^k times the sign = +1 one.
     Negative levels are a DomainError for every builder; a theta = 0
-    window below level zero is a NullSubrepresentation.
+    window below level zero is a NullSubrepresentation.  A Gram entry that
+    is zero or leaves the doubles, gamma^2 included, is a DomainError.
     """
     if levels < 0:
         raise DomainError(f"levels = {levels} must be nonnegative")
@@ -208,9 +211,9 @@ def _ladder(label, params, theta, gamma, levels, sign, min_level=0):
                 chain=diag.chain)
     ks = np.arange(min_level, min_level + levels + 1)
     lo = min(min_level, 0)
-    factor = sign * gamma ** 2 * (theta + np.arange(lo, max(ks[-1], 0) + 1))
     g0 = math.gamma(theta + 1)
-    with np.errstate(over="ignore"):
+    with np.errstate(all="ignore"):
+        factor = sign * _square(gamma) * (theta + np.arange(lo, max(ks[-1], 0) + 1))
         up = np.cumprod(np.concatenate(([g0], factor[1 - lo:])))
         down = np.divide.accumulate(np.concatenate(([g0], factor[-lo:0:-1])))
     gram = np.concatenate((down[:0:-1], up))[ks - lo]
@@ -269,28 +272,32 @@ class NullDiagnosis:
 
 def detect_null_subrep(theta: float, min_level: int, max_level: int,
                        gamma: float = 1.0) -> NullDiagnosis:
-    """Propagate the adjointness recursion g_k = gamma^2 (theta+k) g_{k-1}
-    across a level window and report any forced vanishing.
+    """The adjointness recursion g_k = gamma^2 (theta+k) g_{k-1} on a level
+    window, from g(min_level) = 1, and the levels it forces to vanish.
 
-    For theta = 0 and a window containing level -1, the factor theta + 0
-    vanishes, so every g_k with k >= 0 is forced to zero: the levels >= 0
-    would span a null subrepresentation.
+    The factor vanishes only at k0 = -theta.  A null subrepresentation is
+    forced exactly when k0 is an integer with min_level < k0 <= max_level:
+    then g_k = 0 for every k >= k0, and the levels k0 .. max_level span a
+    null subspace.  Forcing is read off theta, never off the running
+    product, which can underflow to 0 or overflow to Inf and NaN.
     """
     ks = np.arange(min_level, max_level + 1)
-    gram = np.empty(len(ks))
-    gram[0] = 1.0
-    chain = [f"g({min_level}) := 1 (free normalization)"]
+    k0 = -theta
     forced = []
-    for i in range(1, len(ks)):
-        k = ks[i]
-        factor = gamma ** 2 * (theta + k)
-        gram[i] = factor * gram[i - 1]
-        if gram[i - 1] == 0 or factor == 0:
-            forced.append(int(k))
-            why = "zero ladder factor" if factor == 0 else "propagated zero"
-            chain.append(f"g({k}) = gamma^2 (theta + {k}) g({k - 1}) = 0  [{why}]")
+    if float(k0).is_integer() and min_level < k0 <= max_level:
+        forced = list(range(int(k0), max_level + 1))
+    with np.errstate(all="ignore"):
+        factor = _square(gamma) * (theta + ks.astype(float))
+        factor[:1] = 1.0
+        gram = np.cumprod(factor)
+    gram[len(ks) - len(forced):] = 0.0
+    chain = [f"g({min_level}) := 1 (free normalization)"]
+    for k, g in zip(ks[1:].tolist(), gram[1:].tolist()):
+        if forced and k >= k0:
+            value = f"0  [{'zero ladder factor' if k == k0 else 'propagated zero'}]"
         else:
-            chain.append(f"g({k}) = gamma^2 (theta + {k}) g({k - 1}) = {gram[i]:.6g}")
+            value = f"{g:.6g}"
+        chain.append(f"g({k}) = gamma^2 (theta + {k}) g({k - 1}) = {value}")
     return NullDiagnosis(
         has_null=bool(forced),
         theta=theta,
@@ -299,6 +306,14 @@ def detect_null_subrep(theta: float, min_level: int, max_level: int,
         forced_zero_levels=forced,
         chain=chain,
     )
+
+
+def _square(gamma):
+    """gamma ** 2, or Inf where it leaves the doubles."""
+    try:
+        return gamma ** 2
+    except OverflowError:
+        return math.inf
 
 
 # ---------------------------------------------------------------------

@@ -312,6 +312,35 @@ def test_verify_rep_has_no_seed(capsys):
     assert "unrecognized arguments: --seed" in capsys.readouterr().err
 
 
+def test_rep_verbs_have_no_flavor(capsys):
+    for verb in ("build-rep", "verify-rep"):
+        with pytest.raises(SystemExit) as e:
+            main([verb, "--kind", "antifock", "--flavor", "bargmann"])
+        assert e.value.code == 2
+        assert "unrecognized arguments: --flavor" in capsys.readouterr().err
+    code, out, _ = run_cli(capsys, "build-rep", "--kind", "antifock", "--levels", "2")
+    doc = json.loads(out)
+    assert code == 0 and doc["label"] == "antifock_bargmann"
+    assert doc["params"] == {"levels": 2, "mu": 0.0}
+
+
+def test_gram_overflow_below_level_zero_prints_one_json_error():
+    # a window below level zero also runs the null check; the stderr of a
+    # real process shows any warning printed on the way
+    import kreinccr
+
+    src = str(Path(kreinccr.__file__).resolve().parents[1])
+    argv = ["build-rep", "--kind", "schroedinger", "--theta", "-0.5",
+            "--min-level", "-1", "--levels", "200"]
+    done = subprocess.run([sys.executable, "-m", "kreinccr.cli", *argv],
+                          capture_output=True, text=True, timeout=60,
+                          env={**os.environ, "PYTHONPATH": src})
+    assert done.returncode == 1 and done.stdout == ""
+    assert done.stderr.count("\n") == 1
+    err = json.loads(done.stderr)
+    assert (err["code"], err["level"]) == ("DomainError", 172)
+
+
 def test_import_does_not_load_scipy():
     import kreinccr
 
@@ -420,8 +449,10 @@ def _rep_doc(**changes):
     {"params": {"theta": -0.5, "gamma": 2.0, "sign": "x"}},  # sign not +-1
     {"params": {"theta": -0.5, "gamma": 2.0, "sign": True}},  # JSON true is not +1
     {"min_level": "x"},                               # min_level not an integer
+    {"gram_diagonal": [1.0, 0.0, 2.0, 3.0]},          # a zero Gram entry
+    {"gram_diagonal": [1.0, float("inf"), 2.0, 3.0]},  # JSON Infinity
 ], ids=["no-theta", "no-gamma", "size-1", "short-gram", "long-gauge", "long-band",
-        "text-sign", "bool-sign", "text-min-level"])
+        "text-sign", "bool-sign", "text-min-level", "zero-gram", "inf-gram"])
 def test_inconsistent_rep_json_is_a_parse_error(capsys, changes):
     assert run_cli(capsys, "verify-rep", "--rep", _rep_doc())[0] == 0
     code, out, err = run_cli(capsys, "verify-rep", "--rep", _rep_doc(**changes))

@@ -1,5 +1,7 @@
 """Signed multimode CCR algebras and their polynomial representation."""
 
+import dataclasses
+import itertools
 import math
 
 import numpy as np
@@ -8,9 +10,10 @@ import pytest
 from kreinccr.algebra import (AlgebraElement, commutator, multimode_set,
                               normal_order)
 from kreinccr.exceptions import Degenerate, DomainError, NotHermitian, ZeroInput
-from kreinccr.multimode import (EtaSignature, MultiIndexState,
-                                build_multimode_rep, diagonalize_eta, rho_iso,
-                                spectral_condition_check, vacuum_descent)
+from kreinccr.multimode import (EtaSignature, MultiIndexState, _monomials,
+                                _strip, build_multimode_rep, diagonalize_eta,
+                                rho_iso, spectral_condition_check,
+                                vacuum_descent)
 from kreinccr.reps import build_fock_bargmann, gauge_unitary, krein_adjoint
 
 ETA3 = EtaSignature((1, -1, 1))
@@ -209,6 +212,86 @@ def test_vacuum_descent_random_lands_on_constant_ray():
         v = rep.vector(out)
         for i in range(3):
             assert np.max(np.abs(rep.a_mats[i] @ v)) < 1e-12
+
+
+def walked_vacuum_descent(rep, f, tol=1e-12):
+    """Reference: the annihilator walk that vacuum_descent replaced, ending
+    in the state of the entries above tol."""
+    if f.is_zero(tol):
+        raise ZeroInput("vacuum descent needs a nonzero state")
+    v = rep.vector(f)
+    k = rep.gauge_diag[np.abs(v) > tol].min()
+    cur = np.where(rep.gauge_diag == k, v, 0)
+    steps = 0
+    while steps <= k:
+        progressed = False
+        for mode0 in range(rep.modes):
+            cand = rep.a_mats[mode0] @ cur
+            if np.max(np.abs(cand)) > tol:
+                cur = cand
+                progressed = True
+                steps += 1
+                break
+        if not progressed:
+            break
+    return MultiIndexState({rep.basis[i]: cur[i] for i in range(rep.size)
+                            if abs(cur[i]) > tol}, rep.cap)
+
+
+@pytest.mark.parametrize("m,cap", [(1, 6), (2, 6), (3, 6), (3, 8), (2, 12), (4, 8)])
+def test_vacuum_descent_matches_the_walk(m, cap):
+    rng = np.random.default_rng(10 * m + cap)
+    for eta in itertools.product((1, -1), repeat=m):
+        rep = build_multimode_rep(EtaSignature(eta), cap)
+        for _ in range(6):
+            idxs = rng.choice(rep.size, size=int(rng.integers(1, 8)), replace=False)
+            mags = 10.0 ** rng.uniform(-6, 6, size=len(idxs))
+            phases = np.exp(2j * np.pi * rng.random(len(idxs)))
+            f = MultiIndexState({rep.basis[i]: c for i, c in zip(idxs, mags * phases)}, cap)
+            got, want = vacuum_descent(rep, f), walked_vacuum_descent(rep, f)
+            assert set(got.terms) == set(want.terms) == {()}
+            assert abs(got.terms[()] - want.terms[()]) <= 1e-15 * abs(want.terms[()])
+
+
+def test_vacuum_descent_reads_no_ladder_matrices():
+    rep = build_multimode_rep(ETA3, 6)
+    f = MultiIndexState({(1, 2): 1.5 - 2j, (0, 1, 2): 0.5, (2, 0, 3): 1.0}, cap=6)
+    bare = dataclasses.replace(rep, a_mats=[], adag_mats=[])
+    assert vacuum_descent(bare, f).terms == {(): (1.5 - 2j) * 2}
+    with pytest.raises(DomainError) as info:
+        vacuum_descent(bare, MultiIndexState({(0, 0, 0, 1): 1.0}, 6))
+    assert (info.value.payload["state_modes"], info.value.payload["rep_modes"]) == (4, 3)
+
+
+def test_vacuum_descent_ignores_terms_below_tol():
+    # a z_1^3 term under tol steered the walk to 3 * 2 * 5e-13 = 3e-12
+    rep = build_multimode_rep(EtaSignature((1, 1)), 6)
+    f = MultiIndexState({(0, 3): 1.0, (3,): 5e-13}, cap=6)
+    assert walked_vacuum_descent(rep, f).terms[()] == pytest.approx(3e-12)
+    assert vacuum_descent(rep, f).terms == {(): 6.0}
+
+
+def recursive_monomials(m, cap):
+    """Reference: the recursive enumeration _monomials replaced."""
+    res = []
+    for d in range(cap + 1):
+        level = []
+        def rec(prefix, remaining, left):
+            if remaining == 0:
+                if left == 0:
+                    level.append(_strip(tuple(prefix)))
+                return
+            for n in range(left + 1):
+                rec(prefix + [n], remaining - 1, left - n)
+        rec([], m, d)
+        res.extend(sorted(level))
+    return res
+
+
+def test_monomials_match_the_recursive_enumeration():
+    for m in range(1, 7):
+        for cap in range(11):
+            assert _monomials(m, cap) == recursive_monomials(m, cap), (m, cap)
 
 
 def test_gauge_unitary_multimode():

@@ -6,7 +6,9 @@ builder internals.
 """
 
 import dataclasses
+import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -98,6 +100,7 @@ def test_fock_and_antifock_are_the_theta_zero_ladder(levels):
     (build_schroedinger_theta, (-0.5, 2.0, 200), 135),
     (build_schroedinger_theta, (-0.5, 2.0, 200, -1), 135),
     (build_schroedinger_theta, (-0.5, 1e-200, 4), 1),
+    (build_schroedinger_theta, (-0.5, 1e200, 4), 1),
 ])
 def test_gram_outside_the_doubles_is_a_domain_error(build, args, level):
     with pytest.raises(DomainError) as info:
@@ -219,6 +222,64 @@ def test_null_subrep_forcing():
     # theta = -1/2 admits the two-sided window
     rep = build_schroedinger_theta(-0.5, 1.0, 6, min_level=-2)
     assert rep.min_level == -2
+
+
+def walked_null_subrep(theta, min_level, max_level, gamma=1.0):
+    """Reference: the level-by-level walk that detect_null_subrep replaced."""
+    ks = np.arange(min_level, max_level + 1)
+    gram = np.empty(len(ks))
+    gram[0] = 1.0
+    chain = [f"g({min_level}) := 1 (free normalization)"]
+    forced = []
+    for i in range(1, len(ks)):
+        k = ks[i]
+        factor = gamma ** 2 * (theta + k)
+        gram[i] = factor * gram[i - 1]
+        if gram[i - 1] == 0 or factor == 0:
+            forced.append(int(k))
+            why = "zero ladder factor" if factor == 0 else "propagated zero"
+            chain.append(f"g({k}) = gamma^2 (theta + {k}) g({k - 1}) = 0  [{why}]")
+        else:
+            chain.append(f"g({k}) = gamma^2 (theta + {k}) g({k - 1}) = {gram[i]:.6g}")
+    return forced, ks, gram, chain
+
+
+def test_null_subrep_closed_form_matches_the_walk():
+    grid = itertools.product((0, -0.25, -0.5, -0.99, 0.5, 1, 2, -3), range(-6, 3),
+                             range(9), (0.5, 1.0, 2.0, 3.7))
+    for theta, lo, width, gamma in grid:
+        forced, ks, gram, chain = walked_null_subrep(theta, lo, lo + width, gamma)
+        diag = detect_null_subrep(theta, lo, lo + width, gamma)
+        case = (theta, lo, width, gamma)
+        assert diag.has_null == bool(forced), case
+        assert diag.forced_zero_levels == forced, case
+        assert np.array_equal(diag.levels, ks), case
+        assert np.array_equal(diag.gram, gram), case
+        assert diag.chain == chain, case
+        assert diag.theta == theta
+
+
+def test_null_forcing_is_read_off_theta_not_off_the_running_product():
+    # gamma^2 underflows to 0, so the walk sees a zero factor at every level
+    assert walked_null_subrep(-0.5, -1, 3, 1e-200)[0] == [0, 1, 2, 3]
+    diag = detect_null_subrep(-0.5, -1, 3, 1e-200)
+    assert not diag.has_null and diag.forced_zero_levels == []
+    # the product overflows below level 0 and is NaN from the zero factor
+    # on, so the walk stops propagating the zero
+    with np.errstate(all="ignore"):
+        assert walked_null_subrep(0.0, -3, 2, 1e154)[0] == [0]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        diag = detect_null_subrep(0.0, -3, 2, 1e154)
+    assert diag.forced_zero_levels == [0, 1, 2]
+    assert np.array_equal(diag.gram[diag.levels >= 0], np.zeros(3))
+    assert diag.chain[-1] == "g(2) = gamma^2 (theta + 2) g(1) = 0  [propagated zero]"
+    # the build then fails on its Gram, silently, at the level nearest zero
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError) as info:
+            build_schroedinger_theta(-0.5, 1e-200, 4, min_level=-1)
+    assert info.value.payload == {"level": -1}
 
 
 def test_negative_window_gram_recursion():

@@ -9,16 +9,18 @@ at a total-degree cap, with monomial Gram
 creation operators pi(a_i*) = eta_i z_i (the sign makes the Krein
 adjointness and the commutation relation [pi(a_i), pi(a_i*)] = eta_i hold
 simultaneously), and gauge generator with eigenvalue = total degree, so
-the spectral condition is manifest.
+the spectral condition is manifest.  A build holds the basis, the Gram and
+the gauge diagonal; the dense ladder matrices are built only when read.
 """
 
 from __future__ import annotations
 
 import json
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import combinations_with_replacement
+from itertools import combinations_with_replacement, zip_longest
 
 import numpy as np
 
@@ -134,10 +136,6 @@ def _strip(idx):
     return idx
 
 
-def _padded(idx, m):
-    return idx + (0,) * (m - len(idx))
-
-
 # ---------------------------------------------------------------------
 # eta diagonalization (Sylvester reduction of a hermitian commutator matrix)
 # ---------------------------------------------------------------------
@@ -194,8 +192,8 @@ class MultiModeRep:
     cap: int
     basis: list            # list of stripped multi-indices
     index: dict = field(repr=False)
-    a_mats: list = field(repr=False)
-    adag_mats: list = field(repr=False)
+    a_mats: Sequence = field(repr=False)     # dense pi(a_i), built when read
+    adag_mats: Sequence = field(repr=False)  # dense pi(a_i*), built when read
     gram_diag: np.ndarray = field(repr=False)
     gauge_diag: np.ndarray = field(repr=False)
 
@@ -236,43 +234,44 @@ def _monomials(m, cap):
                               for modes in combinations_with_replacement(range(m), d))]
 
 
+class _LadderMatrices(Sequence):
+    """Dense pi(a_i), or pi(a_i*) when raising, for each mode i, built from
+    the basis and its index each time it is read; no matrix is kept."""
+
+    def __init__(self, basis, index, eta, raising):
+        self.basis, self.index, self.eta, self.raising = basis, index, eta, raising
+
+    def __len__(self):
+        return len(self.eta)
+
+    def __getitem__(self, i):
+        mode0 = range(len(self.eta))[i]  # IndexError past the last mode
+        mat = np.zeros((len(self.basis),) * 2, dtype=complex)
+        for j, b in enumerate(self.basis):
+            if len(b) > mode0 and b[mode0]:  # d/dz_i z^b = b_i z^(b - e_i)
+                k = self.index[_strip(b[:mode0] + (b[mode0] - 1,) + b[mode0 + 1:])]
+                if self.raising:
+                    mat[j, k] = self.eta[mode0 + 1]
+                else:
+                    mat[k, j] = b[mode0]
+        return mat
+
+
 def build_multimode_rep(eta: EtaSignature, cap: int) -> MultiModeRep:
-    """Monomial-basis representation with pi(a_i) = d/dz_i and
-    pi(a_i*) = eta_i z_i, Gram prod n_i! (-1)^{n_i(1-eta_i)/2}."""
+    """Monomial-basis representation with pi(a_i) = d/dz_i, pi(a_i*) = eta_i z_i,
+    Gram prod n_i! (-1)^{n_i(1-eta_i)/2} and gauge the total degree.  No ladder
+    matrix is built here: a_mats and adag_mats build each one when it is read."""
     if len(eta) < 1 or cap < 1:
         raise DomainError("need at least one mode and degree >= 1")
-    m = len(eta)
-    basis = _monomials(m, cap)
+    basis = _monomials(len(eta), cap)
     index = {b: i for i, b in enumerate(basis)}
-    size = len(basis)
-    gram = np.empty(size)
-    gauge = np.empty(size)
-    for i, b in enumerate(basis):
-        g = 1.0
-        for mode0, n in enumerate(b):
-            g *= math.factorial(n)
-            if eta[mode0 + 1] == -1 and n % 2 == 1:
-                g = -g
-        gram[i] = g
-        gauge[i] = sum(b)
-    a_mats = []
-    adag_mats = []
-    for mode0 in range(m):
-        a = np.zeros((size, size), dtype=complex)
-        ad = np.zeros((size, size), dtype=complex)
-        for i, b in enumerate(basis):
-            bb = _padded(b, m)
-            n = bb[mode0]
-            if n > 0:
-                lower = _strip(bb[:mode0] + (n - 1,) + bb[mode0 + 1:])
-                a[index[lower], i] = n
-            if sum(bb) < cap:
-                upper = _strip(bb[:mode0] + (n + 1,) + bb[mode0 + 1:])
-                ad[index[upper], i] = eta[mode0 + 1]
-        a_mats.append(a)
-        adag_mats.append(ad)
-    return MultiModeRep(eta, cap, basis, index, a_mats, adag_mats,
-                        gram, gauge)
+    exps = np.array(list(zip_longest(*basis, fillvalue=0))).T  # dim x modes
+    signs = (-1.0) ** exps[:, np.array(eta.values) == -1].sum(axis=1)
+    factorials = np.array([float(math.factorial(n)) for n in range(cap + 1)])
+    ladders = [_LadderMatrices(basis, index, eta, raising) for raising in (False, True)]
+    return MultiModeRep(eta, cap, basis, index, *ladders,
+                        signs * np.prod(factorials[exps], axis=1),
+                        exps.sum(axis=1).astype(float))
 
 
 def spectral_condition_check(rep: MultiModeRep, f: MultiIndexState,

@@ -101,22 +101,23 @@ class BasisRep:
             gram = np.array(obj["gram_diagonal"], dtype=float)
             if not np.all(np.isfinite(gram) & (gram != 0)):
                 raise ValueError("gram_diagonal entries must be finite and nonzero")
+            gauge = np.array([complex(*v) for v in obj["gauge_diagonal"]])
+            a_mat, adag_mat = unband(obj["a_band"], n), unband(obj["adag_band"], n)
+            if not all(np.all(np.isfinite(x)) for x in (gauge, a_mat, adag_mat)):
+                raise ValueError("band and gauge_diagonal entries must be finite")
             if obj["label"] == "schroedinger_theta":
                 if not all(type(params.get(k)) in (int, float) for k in ("theta", "gamma")):
                     raise ValueError("schroedinger_theta needs real theta and gamma params")
+                theta, gamma = float(params["theta"]), float(params["gamma"])
+                if not (math.isfinite(theta) and 0 < gamma < math.inf):
+                    raise ValueError("schroedinger_theta needs finite theta and gamma > 0")
                 sign = params.get("sign", 1)
                 if type(sign) is not int or sign not in (1, -1):
                     raise ValueError("a schroedinger_theta sign must be the integer +1 or -1")
-            return cls(
-                label=obj["label"],
-                a_mat=unband(obj["a_band"], n),
-                adag_mat=unband(obj["adag_band"], n),
-                gauge_diag=np.array([complex(*v) for v in obj["gauge_diagonal"]]),
-                gram_diag=gram,
-                params=params,
-                min_level=obj["min_level"],
-            )
-        except (KeyError, TypeError, ValueError, IndexError, AttributeError) as e:
+            return cls(label=obj["label"], a_mat=a_mat, adag_mat=adag_mat, gauge_diag=gauge,
+                       gram_diag=gram, params=params, min_level=obj["min_level"])
+        except (KeyError, TypeError, ValueError, IndexError, AttributeError,
+                OverflowError) as e:
             raise ParseError(f"representation JSON: {e!r}", offset=getattr(e, "pos", 0),
                              expected=("size", "a_band", "adag_band")) from None
 
@@ -217,11 +218,7 @@ def _ladder(label, params, theta, gamma, levels, sign, min_level=0):
         up = np.cumprod(np.concatenate(([g0], factor[1 - lo:])))
         down = np.divide.accumulate(np.concatenate(([g0], factor[-lo:0:-1])))
     gram = np.concatenate((down[:0:-1], up))[ks - lo]
-    bad = ks[~np.isfinite(gram) | (gram == 0)]
-    if bad.size:
-        level = int(bad[np.argmin(np.abs(bad))])
-        raise DomainError(f"the Gram leaves the range of doubles at level {level}",
-                          level=level)
+    _check_gram_levels(ks, ~np.isfinite(gram) | (gram == 0))
     lower = np.diag(sign * gamma * (theta + ks[1:]).astype(complex), 1)  # e_k -> e_{k-1}
     upper = np.diag(np.full(levels, 1.0 / gamma, dtype=complex), -1)  # e_k -> e_{k+1}
     # sign = -1 composes with rho^-: a and a* exchange ladder roles and the
@@ -306,6 +303,14 @@ def detect_null_subrep(theta: float, min_level: int, max_level: int,
         forced_zero_levels=forced,
         chain=chain,
     )
+
+
+def _check_gram_levels(ks, bad):
+    """DomainError at the level nearest zero among the levels ks[bad], if any."""
+    if np.any(bad):
+        level = int(ks[bad][np.argmin(np.abs(ks[bad]))])
+        raise DomainError(f"the Gram leaves the range of doubles at level {level}",
+                          level=level)
 
 
 def _square(gamma):
@@ -421,8 +426,10 @@ def verify_rep(rep: BasisRep) -> dict:
 
     gram_res = 0.0
     if rep.label == "schroedinger_theta":
-        p = rep.params
-        pred = p.get("sign", 1) * p["gamma"] ** 2 * (p["theta"] + rep.levels()[1:]) * g[:-1]
+        p, ks = rep.params, rep.levels()[1:]
+        with np.errstate(all="ignore"):
+            pred = p.get("sign", 1) * _square(p["gamma"]) * (p["theta"] + ks) * g[:-1]
+        _check_gram_levels(ks, ~np.isfinite(pred))  # as the builder reports it
         gram_res = float(np.max(np.abs(g[1:] - pred) / np.maximum(1.0, np.abs(g[1:])),
                                 initial=0.0))
 

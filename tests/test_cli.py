@@ -7,6 +7,7 @@ import shlex
 import subprocess
 import sys
 import time
+import warnings
 from pathlib import Path
 
 import pytest
@@ -451,10 +452,37 @@ def _rep_doc(**changes):
     {"min_level": "x"},                               # min_level not an integer
     {"gram_diagonal": [1.0, 0.0, 2.0, 3.0]},          # a zero Gram entry
     {"gram_diagonal": [1.0, float("inf"), 2.0, 3.0]},  # JSON Infinity
+    {"gauge_diagonal": [[-0.5, 0.0], [float("inf"), 0.0], [1.5, 0.0], [2.5, 0.0]]},
+    {"a_band": {"lower": [[0.0, 0.0]] * 3,
+                "upper": [[1.0, 0.0], [float("nan"), 0.0], [5.0, 0.0]]}},  # JSON NaN
+    {"params": {"theta": -0.5, "gamma": float("inf")}},
+    {"params": {"theta": float("nan"), "gamma": 2.0}},
+    {"params": {"theta": -0.5, "gamma": -2.0}},
+    {"params": {"theta": -0.5, "gamma": 10 ** 400}},  # an integer past the doubles
 ], ids=["no-theta", "no-gamma", "size-1", "short-gram", "long-gauge", "long-band",
-        "text-sign", "bool-sign", "text-min-level", "zero-gram", "inf-gram"])
+        "text-sign", "bool-sign", "text-min-level", "zero-gram", "inf-gram",
+        "inf-gauge", "nan-band", "inf-gamma", "nan-theta", "negative-gamma", "huge-gamma"])
 def test_inconsistent_rep_json_is_a_parse_error(capsys, changes):
     assert run_cli(capsys, "verify-rep", "--rep", _rep_doc())[0] == 0
     code, out, err = run_cli(capsys, "verify-rep", "--rep", _rep_doc(**changes))
     assert code == 2 and out == ""
     assert json.loads(err)["code"] == "ParseError"
+
+
+def test_a_rep_document_whose_gamma_squared_overflows(capsys):
+    argv = ["--kind", "schroedinger", "--theta", "-0.5", "--gamma", "1e200"]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, one, err = run_cli(capsys, "build-rep", *argv, "--levels", "0")
+        assert code == 0 and err == ""
+        # one level: no recursion to check, every residual is 0
+        code, out, err = run_cli(capsys, "verify-rep", "--rep", one)
+        assert code == 0 and err == ""
+        assert set(json.loads(out).values()) == {0}
+        # more levels: the DomainError the builder of these params raises
+        code, _, built = run_cli(capsys, "build-rep", *argv, "--levels", "3")
+        doc = _rep_doc(params={"theta": -0.5, "gamma": 1e200, "levels": 3, "sign": 1})
+        code2, out, err = run_cli(capsys, "verify-rep", "--rep", doc)
+    assert code == code2 == 1 and out == ""
+    assert err == built and err.count("\n") == 1
+    assert (json.loads(err)["code"], json.loads(err)["level"]) == ("DomainError", 1)

@@ -3,6 +3,8 @@
 import dataclasses
 import itertools
 import math
+import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -222,11 +224,12 @@ def walked_vacuum_descent(rep, f, tol=1e-12):
     v = rep.vector(f)
     k = rep.gauge_diag[np.abs(v) > tol].min()
     cur = np.where(rep.gauge_diag == k, v, 0)
+    a_mats = list(rep.a_mats)  # each read of rep.a_mats builds a matrix
     steps = 0
     while steps <= k:
         progressed = False
         for mode0 in range(rep.modes):
-            cand = rep.a_mats[mode0] @ cur
+            cand = a_mats[mode0] @ cur
             if np.max(np.abs(cand)) > tol:
                 cur = cand
                 progressed = True
@@ -292,6 +295,94 @@ def test_monomials_match_the_recursive_enumeration():
     for m in range(1, 7):
         for cap in range(11):
             assert _monomials(m, cap) == recursive_monomials(m, cap), (m, cap)
+
+
+def dense_multimode_rep(eta, cap):
+    """Reference: the per-element build with stored dense ladder matrices
+    that build_multimode_rep replaced; returns (basis, index, a_mats,
+    adag_mats, gram, gauge)."""
+    def _padded(idx, m):
+        return idx + (0,) * (m - len(idx))
+
+    m = len(eta)
+    basis = _monomials(m, cap)
+    index = {b: i for i, b in enumerate(basis)}
+    size = len(basis)
+    gram = np.empty(size)
+    gauge = np.empty(size)
+    for i, b in enumerate(basis):
+        g = 1.0
+        for mode0, n in enumerate(b):
+            g *= math.factorial(n)
+            if eta[mode0 + 1] == -1 and n % 2 == 1:
+                g = -g
+        gram[i] = g
+        gauge[i] = sum(b)
+    a_mats = []
+    adag_mats = []
+    for mode0 in range(m):
+        a = np.zeros((size, size), dtype=complex)
+        ad = np.zeros((size, size), dtype=complex)
+        for i, b in enumerate(basis):
+            bb = _padded(b, m)
+            n = bb[mode0]
+            if n > 0:
+                lower = _strip(bb[:mode0] + (n - 1,) + bb[mode0 + 1:])
+                a[index[lower], i] = n
+            if sum(bb) < cap:
+                upper = _strip(bb[:mode0] + (n + 1,) + bb[mode0 + 1:])
+                ad[index[upper], i] = eta[mode0 + 1]
+        a_mats.append(a)
+        adag_mats.append(ad)
+    return basis, index, a_mats, adag_mats, gram, gauge
+
+
+def _identical(x, y):
+    return x.dtype == y.dtype and x.shape == y.shape and x.tobytes() == y.tobytes()
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4])
+def test_build_matches_the_dense_reference(m):
+    for cap in range(1, 8):
+        for eta in itertools.product((1, -1), repeat=m):
+            rep = build_multimode_rep(EtaSignature(eta), cap)
+            basis, index, a_mats, adag_mats, gram, gauge = dense_multimode_rep(
+                EtaSignature(eta), cap)
+            assert rep.basis == basis and rep.index == index
+            assert _identical(rep.gram_diag, gram) and _identical(rep.gauge_diag, gauge)
+            for got, want in zip(rep.a_mats, a_mats, strict=True):
+                assert _identical(got, want), (eta, cap)
+            for got, want in zip(rep.adag_mats, adag_mats, strict=True):
+                assert _identical(got, want), (eta, cap)
+
+
+def test_ladder_matrices_are_a_sequence_of_one_matrix_per_mode():
+    rep = build_multimode_rep(ETA3, 4)
+    assert len(rep.a_mats) == len(rep.adag_mats) == 3
+    assert len(list(rep.adag_mats)) == 3  # iteration stops past the last mode
+    assert np.array_equal(rep.a_mats[-1], rep.a_mats[2])
+    with pytest.raises(IndexError):
+        rep.a_mats[3]
+    with pytest.raises(TypeError):
+        rep.a_mats[0] = np.zeros((rep.size, rep.size))
+
+
+def test_large_build_allocates_no_dense_matrix():
+    build_multimode_rep(EtaSignature((1, -1) * 3), 10)  # warm the import caches
+    tracemalloc.start()
+    try:
+        t0 = time.perf_counter()
+        rep = build_multimode_rep(EtaSignature((1, -1) * 3), 10)
+        elapsed = time.perf_counter() - t0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rep.size == math.comb(16, 6) == 8008
+    assert peak < 20e6  # one dense complex matrix would be 1026 MB
+    assert elapsed < 1.0
+    assert rep.gram_diag[rep.index[(1, 1, 1, 1, 1, 1)]] == -1
+    assert spectral_condition_check(rep, MultiIndexState.monomial((0, 0, 0, 0, 0, 10), 10),
+                                    MultiIndexState.monomial((0, 0, 0, 0, 0, 10), 10)) == {10}
 
 
 def test_gauge_unitary_multimode():

@@ -53,26 +53,12 @@ class GeneratorSet:
         if any(v not in (1, -1) for v in self.eta.values()):
             raise ValueError("eta entries must be +-1")
 
-    def eta_of(self, i):
-        return self.eta.get(i, 1)
-
     def is_valid(self, sym):
-        if self.kind == "holomorphic":
-            return sym in ("z", "d")
-        if self.kind == "heisenberg":
-            return sym in ("a", "a*")
+        if self.kind != "multimode":
+            return sym in _LETTERS[self.kind]
         # one spelling per mode: "a_2", never "a_02"
         i = sym[2:].removesuffix("*")
         return sym.startswith("a_") and i.isdecimal() and str(int(i)) == i
-
-    def order_key(self, sym):
-        """Sort position; creation-type generators come first."""
-        if self.kind == "holomorphic":
-            return (0,) if sym == "z" else (1,)
-        if self.kind == "heisenberg":
-            return (0,) if sym == "a*" else (1,)
-        creator = sym.endswith("*")
-        return (0 if creator else 1, _mode_of(sym))
 
     def letter(self, sym):
         """(mode, is_creator) of a generator; the pair (z, d) is mode 0."""
@@ -82,7 +68,7 @@ class GeneratorSet:
 
     def contraction(self, mode):
         """The central scalar [a_mode, a_mode*] (1 for the single-mode sets)."""
-        return self.eta_of(mode) if self.kind == "multimode" else 1
+        return self.eta.get(mode, 1)
 
     def star(self, sym):
         """Image of a generator under the algebra *-involution."""

@@ -3,7 +3,8 @@
 Every command is stateless: it parses its inputs, dispatches to the
 library, and prints one JSON document on stdout.  Errors are printed as
 JSON on stderr with a machine-readable ``code`` field; exit status is 0
-on success, 1 on domain errors (``NonFinite`` for NaN, Inf or overflow),
+on success, 1 on domain errors (``NonFinite`` for NaN, Inf or overflow)
+and on unexpected failures (``InternalError``, naming the exception type),
 2 on parse errors.  Floats have 17 significant digits: output is byte-stable.
 """
 
@@ -145,14 +146,6 @@ def _degree_cap(args, cfg):
     return cap
 
 
-def _truncfn_out(f: truncfn.TruncFn):
-    return {
-        "degree_cap": f.degree_cap,
-        "exact": f.exact,
-        "coefficients": [[c.real, c.imag] for c in f.coeffs],
-    }
-
-
 def load_config(path):
     """key=value lines; '#' starts a comment.  Bad input is a ParseError."""
     out = {}
@@ -222,7 +215,7 @@ def cmd_gamma_s(args, cfg):
     beta = _number(args.beta)
     g = (truncfn.gamma_S_inverse(alpha, beta, f) if args.inverse
          else truncfn.gamma_S(alpha, beta, f))
-    out = _truncfn_out(g)
+    out = json.loads(g.to_json())
     out["implementation_residual"] = truncfn.verify_implementation(alpha, beta, f)
     return out
 
@@ -231,7 +224,7 @@ def cmd_project(args, cfg):
     cap = _degree_cap(args, cfg)
     f = _truncfn_arg(args, cap)
     g = truncfn.fourier_project(truncfn.rotation_family, f, args.k)
-    return _truncfn_out(g)
+    return json.loads(g.to_json())
 
 
 def cmd_pcf_eval(args, cfg):
@@ -247,7 +240,7 @@ def cmd_pcf_eval(args, cfg):
         "derivative": _scalar_or_pair(v.derivative),
         "second_derivative": _scalar_or_pair(v.second),
         "est_error": v.est_error,
-        "ode_residual": abs(v.second + (lam + 0.5 - v.x * v.x / 4) * v.value),
+        "ode_residual": v.ode_residual,
     }
 
 
@@ -450,6 +443,11 @@ def main(argv=None):
                 err[k] = json.loads(emit_json(v))
             except TypeError:
                 err[k] = str(v)
+        print(emit_json(err), file=sys.stderr)
+        return 1
+    except Exception as e:
+        # a failure the library does not type is still one JSON document
+        err = {"error": str(e), "code": "InternalError", "type": type(e).__name__}
         print(emit_json(err), file=sys.stderr)
         return 1
     print(out)

@@ -178,7 +178,6 @@ class ExactScalar:
         return f"({re})+({im})i"
 
 
-ZERO = ExactScalar()
 ONE = ExactScalar(1)
 I = ExactScalar(0, 0, 1)
 SQRT2 = ExactScalar(0, 1)

@@ -42,6 +42,11 @@ class EtaSignature:
     def __len__(self):
         return len(self.values)
 
+    def __iter__(self):
+        # without it, iteration would run through __getitem__, which never
+        # raises IndexError
+        return iter(self.values)
+
     def __getitem__(self, i):
         # mode index (1-based); unlisted modes default to +1, which is how
         # the unbounded-mode case is represented
@@ -94,13 +99,6 @@ class MultiIndexState:
 
     def is_zero(self, tol=0.0):
         return all(abs(c) <= tol for c in self.terms.values())
-
-    def total_degrees(self):
-        return sorted({sum(i) for i in self.terms})
-
-    def degree_component(self, k):
-        return MultiIndexState({i: c for i, c in self.terms.items() if sum(i) == k},
-                               self.cap)
 
     def norm(self):
         return math.sqrt(sum(abs(c) ** 2 for c in self.terms.values()))
@@ -263,6 +261,9 @@ def build_multimode_rep(eta: EtaSignature, cap: int) -> MultiModeRep:
     matrix is built here: a_mats and adag_mats build each one when it is read."""
     if len(eta) < 1 or cap < 1:
         raise DomainError("need at least one mode and degree >= 1")
+    if cap > 170:  # the Gram entry of z_1^cap is cap!, and 171! is past the doubles
+        raise DomainError("the Gram leaves the range of doubles at level 171",
+                          degree_cap=cap, level=171)
     basis = _monomials(len(eta), cap)
     index = {b: i for i, b in enumerate(basis)}
     exps = np.array(list(zip_longest(*basis, fillvalue=0))).T  # dim x modes

@@ -43,6 +43,11 @@ class PcfValue:
     second: complex
     est_error: float
 
+    @property
+    def ode_residual(self) -> float:
+        """|D'' + (lambda + 1/2 - x^2/4) D| at x."""
+        return abs(self.second + (self.lam + 0.5 - self.x * self.x / 4) * self.value)
+
 
 def _rgamma(x):
     """1/Gamma(x), with the value 0 at the poles x = 0, -1, -2, ..."""
@@ -109,8 +114,7 @@ def weber_D(lam: float, x) -> PcfValue:
 
 def weber_ode_residual(lam: float, x) -> float:
     """|D'' + (lambda + 1/2 - x^2/4) D| at x."""
-    v = weber_D(lam, x)
-    return abs(v.second + (lam + 0.5 - v.x * v.x / 4) * v.value)
+    return weber_D(lam, x).ode_residual
 
 
 def F(lam: float, z):

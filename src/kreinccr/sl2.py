@@ -32,13 +32,6 @@ def s_lower(alpha, beta):
     return np.array([[alpha, 0], [beta, 1 / alpha]], dtype=complex)
 
 
-def s_from_ab(a, b):
-    """Matrix of the group element exp(a*sigma3)exp(b*sigma+), acting on
-    the generator column as its transpose: S(e^a, b e^a)."""
-    ea = cmath.exp(a)
-    return s_lower(ea, b * ea)
-
-
 def conjugation_from_V(v, tol=1e-10):
     """C_K = conj(V)^{-1} sigma1 V for unimodular V."""
     v = np.asarray(v, dtype=complex)
@@ -55,8 +48,7 @@ def conjugation_from_V_exact(v):
     returns a 2x2 nested list.  For det V = 1, conj(V)^{-1} is the
     adjugate of conj(V), so no division is needed.
     """
-    m = [[ExactScalar.coerce(v[i][j]) if not isinstance(v[i][j], ExactScalar)
-          else v[i][j] for j in range(2)] for i in range(2)]
+    m = [[ExactScalar.coerce(v[i][j]) for j in range(2)] for i in range(2)]
     det = m[0][0] * m[1][1] - m[0][1] * m[1][0]
     if not (det - ExactScalar(1)).is_zero():
         raise NotUnimodular(f"det V = {det}")

@@ -166,16 +166,11 @@ def verify_implementation(alpha, beta, f: TruncFn) -> float:
     if alpha == 0:
         raise SingularTransformation("alpha must be nonzero")
     stable = f.degree_cap - 2
+    inner = gamma_S_inverse(alpha, beta, f)
     worst = 0.0
-    for g in ("z", "d"):
-        if g == "z":
-            lhs = alpha * apply_z(f)
-        else:
-            lhs = beta * apply_z(f) + (1 / alpha) * apply_dz(f)
-        inner = gamma_S_inverse(alpha, beta, f)
-        inner = apply_z(inner) if g == "z" else apply_dz(inner)
-        rhs = gamma_S(alpha, beta, inner)
-        diff = (lhs - rhs).coeffs[: stable + 1]
+    for lhs, g in ((alpha * apply_z(f), apply_z),
+                   (beta * apply_z(f) + (1 / alpha) * apply_dz(f), apply_dz)):
+        diff = (lhs - gamma_S(alpha, beta, g(inner))).coeffs[: stable + 1]
         worst = max(worst, float(np.sum(np.abs(diff))))
     return worst
 

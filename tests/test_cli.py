@@ -390,6 +390,28 @@ def test_zero_degree_cap_multimode_is_a_domain_error(capsys):
     assert json.loads(err)["code"] == "DomainError"
 
 
+@pytest.mark.parametrize("eta", ["+1", "+1,-1"])
+def test_multimode_gram_overflow_is_a_domain_error(capsys, eta):
+    # the Gram entry of z_1^cap is cap!, and 171! is past the doubles
+    code, out, err = run_cli(capsys, "multimode-build", "--eta", eta, "--degree-cap", "171")
+    assert code == 1 and out == ""
+    doc = json.loads(err)
+    assert (doc["code"], doc["degree_cap"], doc["level"]) == ("DomainError", 171, 171)
+    code, out, err = run_cli(capsys, "multimode-build", "--eta", "+1", "--degree-cap", "170")
+    assert code == 0 and err == ""
+    assert json.loads(out)["dimension"] == 171
+
+
+def test_an_untyped_failure_is_an_internal_error(capsys):
+    # the coefficient array of this cap cannot be allocated
+    code, out, err = run_cli(capsys, "project", "--k", "1", "--coeffs", "1",
+                             "--degree-cap", "1000000000000000000")
+    assert code == 1 and out == ""
+    assert "Traceback" not in err
+    doc = json.loads(err)
+    assert doc["code"] == "InternalError" and doc["type"].endswith("MemoryError")
+
+
 def _readme_cli_lines():
     text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     block = text.split("## Command line", 1)[1].split("```sh", 1)[1].split("```", 1)[0]

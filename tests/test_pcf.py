@@ -94,3 +94,8 @@ def test_error_estimate_bounds_truncation():
     v = weber_D(1.7, 2.5)
     assert v.est_error < 1e-12
     assert weber_ode_residual(1.7, 2.5) < max(1e-10, 100 * v.est_error)
+
+
+@pytest.mark.parametrize("lam, x", [(1.7, 2.5), (-3.25, -1.0), (0.0, 0.0), (4.0, 1 + 0.5j)])
+def test_ode_residual_property_is_the_module_function(lam, x):
+    assert weber_D(lam, x).ode_residual == weber_ode_residual(lam, x)

@@ -10,8 +10,7 @@ from kreinccr.exact import INV_SQRT2, ExactScalar
 from kreinccr.exceptions import NotUnimodular, ZeroVector
 from kreinccr.sl2 import (IDENTITY2, SIGMA1, SIGMA3, OrbitKind, SlVector,
                           adjoint_action, classify_orbit, conjugation_from_V,
-                          conjugation_from_V_exact, is_bogoliubov, s_from_ab,
-                          s_lower)
+                          conjugation_from_V_exact, is_bogoliubov, s_lower)
 
 
 def random_unimodular(rng):
@@ -78,6 +77,9 @@ def test_adjoint_action_matches_matrix_conjugation():
 
 def test_group_element_matrix():
     # exp(a sigma3) exp(b sigma+) acts on the generator column by S(e^a, b e^a)
+    def s_from_ab(a, b):
+        return s_lower(cmath.exp(a), b * cmath.exp(a))
+
     m = s_from_ab(0.0, 0.0)
     assert np.array_equal(m, IDENTITY2)
     m = s_from_ab(1.0, 2.0)

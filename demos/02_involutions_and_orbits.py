@@ -2,9 +2,12 @@
 
 An isomorphism (a*, a)^T = V (z, d)^T induces an antilinear
 product-reversing involution on the holomorphic algebra with matrix
-C = conj(V)^{-1} sigma1 V.  The gauge generator a* a maps to a quadratic
-whose sl2 adjoint orbit under the implementable (lower-triangular)
-subgroup decides which canonical representation family it generates.
+C = conj(V)^{-1} sigma1 V.  conjugation_from_V computes it as
+adj(conj V) sigma1 V / conj(det V): exactly over Q(i, sqrt 2) for exact
+entries, as a complex array for float ones.  The gauge generator a* a
+maps to a quadratic whose sl2 adjoint orbit under the implementable
+(lower-triangular) subgroup decides which canonical representation
+family it generates.
 """
 
 import numpy as np
@@ -12,13 +15,13 @@ import numpy as np
 from kreinccr import SlVector, adjoint_action, classify_orbit, \
     conjugation_from_V, is_bogoliubov
 from kreinccr.exact import INV_SQRT2
-from kreinccr.sl2 import SIGMA1, conjugation_from_V_exact
+from kreinccr.sl2 import SIGMA1
 
 print("C for V = identity (Fock/Bargmann):")
 print(conjugation_from_V(np.eye(2)).real)
 
 r = INV_SQRT2
-c = conjugation_from_V_exact([[r, -r], [r, r]])
+c = conjugation_from_V([[r, -r], [r, r]])
 print("C for the canonical Schroedinger V (exact):",
       [[str(x) for x in row] for row in c])
 

@@ -24,7 +24,7 @@ from .algebra import (HEISENBERG, HOLOMORPHIC, AlgebraElement, GeneratorSet,
 from .exact import ExactScalar
 from .exceptions import (Degenerate, DomainError, IncompatibleAlgebras,
                          KreinCcrError, NonFinite, NotHermitian,
-                         NotRegularizable, NotUnimodular,
+                         NotInvolutive, NotRegularizable, NotUnimodular,
                          NullSubrepresentation, ParseError,
                          SingularTransformation, ZeroInput, ZeroVector)
 from .multimode import (EtaSignature, MultiIndexState, build_multimode_rep,

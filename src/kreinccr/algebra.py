@@ -21,8 +21,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .exact import ExactScalar, conj, is_zero
-from .exceptions import IncompatibleAlgebras, NotUnimodular
+from .exact import ExactScalar, conj, is_zero, mul2, unimodular_det
+from .exceptions import IncompatibleAlgebras, NotInvolutive
 
 _ONE = ExactScalar(1)
 
@@ -307,17 +307,11 @@ class Involution:
     def __init__(self, c_matrix, tol=1e-10):
         self.c = [[_as_coeff(c_matrix[i][j]) for j in range(2)] for i in range(2)]
         if not self._involutive(tol):
-            raise ValueError("conj(C) C != identity; K would not square to id")
+            raise NotInvolutive("conj(C) C != identity; K would not square to id")
 
     def _involutive(self, tol):
-        cc = [[conj(self.c[i][0]) * self.c[0][j] + conj(self.c[i][1]) * self.c[1][j]
-               for j in range(2)] for i in range(2)]
-        ident = [[1, 0], [0, 1]]
-        for i in range(2):
-            for j in range(2):
-                if not is_zero(cc[i][j] - ident[i][j], tol):
-                    return False
-        return True
+        cc = mul2([[conj(x) for x in row] for row in self.c], self.c)
+        return all(is_zero(cc[i][j] - int(i == j), tol) for i in range(2) for j in range(2))
 
     def apply(self, x: AlgebraElement) -> AlgebraElement:
         if x.gens.kind != "holomorphic":
@@ -337,9 +331,7 @@ def _linear_images(m, syms):
 
 def _unimodular_images(v, syms, name, tol):
     m = [[_as_coeff(v[i][j]) for j in range(2)] for i in range(2)]
-    det = m[0][0] * m[1][1] - m[0][1] * m[1][0]
-    if not is_zero(det - 1, tol):
-        raise NotUnimodular(f"det {name} = {det}")
+    unimodular_det(m, name, tol)
     return _linear_images(m, syms)
 
 

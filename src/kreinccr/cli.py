@@ -5,14 +5,18 @@ library, and prints one JSON document on stdout.  Errors are printed as
 JSON on stderr with a machine-readable ``code`` field; exit status is 0
 on success, 1 on domain errors (``NonFinite`` for NaN, Inf or overflow)
 and on unexpected failures (``InternalError``, naming the exception type),
-2 on parse errors.  Floats have 17 significant digits: output is byte-stable.
+2 on parse errors (a number that is NaN or past the doubles among them).
+A stdout closed by its reader ends the call silently with exit 1.  Floats
+have 17 significant digits: output is byte-stable.
 """
 
 from __future__ import annotations
 
 import argparse
+import cmath
 import functools
 import json
+import os
 import sys
 from fractions import Fraction
 
@@ -73,18 +77,23 @@ def _scalar_or_pair(z):
 
 # -- input parsing helpers ---------------------------------------------
 
-def _number(text):
-    """A real or complex number from the command line ('1/2', '0.3', '1+2j')."""
+def _number(text, real=False):
+    """A finite number from the command line ('1/2', '0.3', '1+2j'), real if
+    ``real``; NaN, overflow and a complex where a real is due are ParseErrors."""
     text = text.strip()
     try:
         return float(Fraction(text))
-    except (ValueError, ZeroDivisionError):
+    except (ValueError, ZeroDivisionError, OverflowError):
         pass
     try:
-        return complex(text.replace("i", "j"))
+        z = complex(text.replace("i", "j"))
     except ValueError:
         raise ParseError(f"not a number: {text!r}", offset=0,
                          expected=("number",)) from None
+    if not cmath.isfinite(z) or (real and z.imag):
+        what = "real number" if real else "number"
+        raise ParseError(f"not a finite {what}: {text!r}", offset=0, expected=(what,))
+    return z.real if real else z
 
 def _number_list(text):
     return [_number(p) for p in text.split(",")]
@@ -228,7 +237,7 @@ def cmd_project(args, cfg):
 
 
 def cmd_pcf_eval(args, cfg):
-    lam = _number(args.lam)
+    lam = _number(args.lam, real=True)
     x = _number(args.x)
     if abs(lam) > cfg["lambda_window"] or abs(x) > cfg["x_window"]:
         raise DomainError("outside the configured evaluation window")
@@ -317,6 +326,51 @@ def cmd_vacuum_descent(args, cfg):
 
 # -- argument wiring ---------------------------------------------------
 
+_REQUIRED = {"required": True}
+_CAP = ("--degree-cap", {"type": int})
+_V = ("--v", {"required": True, "help": "4 comma-separated entries of V"})
+_REP_ARGS = (("--kind", {"choices": ("fock", "antifock", "schroedinger"), "default": "fock"}),
+             ("--levels", {"type": int, "default": 8}),
+             ("--theta", {"type": float, "default": 0.0}),
+             ("--gamma", {"type": float, "default": 1.0}),
+             ("--sign", {"type": int, "choices": (1, -1), "default": 1}),
+             ("--min-level", {"type": int, "default": 0}))
+
+# (verb, help, handler, arguments as (name, add_argument keywords))
+VERBS = (
+    ("normal-order", "normal-order an expression", cmd_normal_order, (("expr", {}),)),
+    ("commutator", "commutator of two expressions", cmd_commutator, (("x", {}), ("y", {}))),
+    ("involve", "apply an antilinear involution", cmd_involve,
+     (("expr", {}), ("--c-matrix", {"required": True,
+                                    "help": "4 comma-separated entries of C (row major)"}))),
+    ("isomap", "map a Heisenberg expression through (a*, a)^T = V (z, d)^T", cmd_isomap,
+     (("expr", {}), _V)),
+    ("classify-orbit", "adjoint orbit of an sl2 vector", cmd_classify_orbit,
+     (("--n3", _REQUIRED), ("--nminus", _REQUIRED), ("--nplus", _REQUIRED))),
+    ("gamma-s", "apply the implementer of S(alpha, beta)", cmd_gamma_s,
+     (("--alpha", _REQUIRED), ("--beta", _REQUIRED),
+      ("--coeffs", {"help": "comma-separated series coefficients"}),
+      ("--coeffs-json", {"help": "TruncFn JSON (or @file)"}), _CAP,
+      ("--inverse", {"action": "store_true"}))),
+    ("project", "Fourier projection onto a gauge mode", cmd_project,
+     (("--k", {"type": int, "required": True}), ("--coeffs", {}), ("--coeffs-json", {}), _CAP)),
+    ("pcf-eval", "evaluate the parabolic cylinder D_lambda", cmd_pcf_eval,
+     (("--lam", _REQUIRED), ("--x", _REQUIRED))),
+    ("build-rep", "build a representation and print it", cmd_build_rep, _REP_ARGS),
+    ("verify-rep", "residuals of the defining identities", cmd_verify_rep,
+     _REP_ARGS + (("--rep", {"help": "representation JSON (or @file); overrides --kind"}),)),
+    ("reduce-canonical", "canonical form of a unimodular isomorphism", cmd_reduce_canonical,
+     (_V, ("--mu", {"default": "0"}))),
+    ("multimode-build", "build the multimode representation", cmd_multimode_build,
+     (("--eta", {"required": True, "help": "comma-separated +-1 per mode"}), _CAP)),
+    ("spectral-check", "Fourier support of <g, U(s) f>", cmd_spectral_check,
+     (("--eta", _REQUIRED), _CAP, ("--f", {"required": True, "help": "state JSON (or @file)"}),
+      ("--g", _REQUIRED))),
+    ("vacuum-descent", "descend a state to the vacuum ray", cmd_vacuum_descent,
+     (("--eta", _REQUIRED), _CAP, ("--f", _REQUIRED))),
+)
+
+
 @functools.cache  # built once per process: building it costs more than most verbs
 def build_parser():
     top = argparse.ArgumentParser(
@@ -326,97 +380,11 @@ def build_parser():
     top.add_argument("--config", help="key=value file with defaults "
                      f"({', '.join(CONFIG_KEYS)})")
     sub = top.add_subparsers(dest="verb", required=True)
-
-    p = sub.add_parser("normal-order", help="normal-order an expression")
-    p.add_argument("expr")
-    p.set_defaults(fn=cmd_normal_order)
-
-    p = sub.add_parser("commutator", help="commutator of two expressions")
-    p.add_argument("x")
-    p.add_argument("y")
-    p.set_defaults(fn=cmd_commutator)
-
-    p = sub.add_parser("involve", help="apply an antilinear involution")
-    p.add_argument("expr")
-    p.add_argument("--c-matrix", required=True,
-                   help="4 comma-separated entries of C (row major)")
-    p.set_defaults(fn=cmd_involve)
-
-    p = sub.add_parser("isomap", help="map a Heisenberg expression through "
-                       "(a*, a)^T = V (z, d)^T")
-    p.add_argument("expr")
-    p.add_argument("--v", required=True, help="4 comma-separated entries of V")
-    p.set_defaults(fn=cmd_isomap)
-
-    p = sub.add_parser("classify-orbit", help="adjoint orbit of an sl2 vector")
-    p.add_argument("--n3", required=True)
-    p.add_argument("--nminus", required=True)
-    p.add_argument("--nplus", required=True)
-    p.set_defaults(fn=cmd_classify_orbit)
-
-    p = sub.add_parser("gamma-s", help="apply the implementer of S(alpha, beta)")
-    p.add_argument("--alpha", required=True)
-    p.add_argument("--beta", required=True)
-    p.add_argument("--coeffs", help="comma-separated series coefficients")
-    p.add_argument("--coeffs-json", help="TruncFn JSON (or @file)")
-    p.add_argument("--degree-cap", type=int)
-    p.add_argument("--inverse", action="store_true")
-    p.set_defaults(fn=cmd_gamma_s)
-
-    p = sub.add_parser("project", help="Fourier projection onto a gauge mode")
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--coeffs")
-    p.add_argument("--coeffs-json")
-    p.add_argument("--degree-cap", type=int)
-    p.set_defaults(fn=cmd_project)
-
-    p = sub.add_parser("pcf-eval", help="evaluate the parabolic cylinder D_lambda")
-    p.add_argument("--lam", required=True)
-    p.add_argument("--x", required=True)
-    p.set_defaults(fn=cmd_pcf_eval)
-
-    def rep_args(p):
-        p.add_argument("--kind", choices=("fock", "antifock", "schroedinger"),
-                       default="fock")
-        p.add_argument("--levels", type=int, default=8)
-        p.add_argument("--theta", type=float, default=0.0)
-        p.add_argument("--gamma", type=float, default=1.0)
-        p.add_argument("--sign", type=int, choices=(1, -1), default=1)
-        p.add_argument("--min-level", type=int, default=0)
-
-    p = sub.add_parser("build-rep", help="build a representation and print it")
-    rep_args(p)
-    p.set_defaults(fn=cmd_build_rep)
-
-    p = sub.add_parser("verify-rep", help="residuals of the defining identities")
-    rep_args(p)
-    p.add_argument("--rep", help="representation JSON (or @file); overrides --kind")
-    p.set_defaults(fn=cmd_verify_rep)
-
-    p = sub.add_parser("reduce-canonical",
-                       help="canonical form of a unimodular isomorphism")
-    p.add_argument("--v", required=True, help="4 comma-separated entries of V")
-    p.add_argument("--mu", default="0")
-    p.set_defaults(fn=cmd_reduce_canonical)
-
-    p = sub.add_parser("multimode-build", help="build the multimode representation")
-    p.add_argument("--eta", required=True, help="comma-separated +-1 per mode")
-    p.add_argument("--degree-cap", type=int)
-    p.set_defaults(fn=cmd_multimode_build)
-
-    p = sub.add_parser("spectral-check", help="Fourier support of <g, U(s) f>")
-    p.add_argument("--eta", required=True)
-    p.add_argument("--degree-cap", type=int)
-    p.add_argument("--f", required=True, help="state JSON (or @file)")
-    p.add_argument("--g", required=True)
-    p.set_defaults(fn=cmd_spectral_check)
-
-    p = sub.add_parser("vacuum-descent", help="descend a state to the vacuum ray")
-    p.add_argument("--eta", required=True)
-    p.add_argument("--degree-cap", type=int)
-    p.add_argument("--f", required=True)
-    p.set_defaults(fn=cmd_vacuum_descent)
-
+    for verb, help_, fn, arguments in VERBS:
+        p = sub.add_parser(verb, help=help_)
+        for name, keywords in arguments:
+            p.add_argument(name, **keywords)
+        p.set_defaults(fn=fn)
     return top
 
 
@@ -428,7 +396,10 @@ def main(argv=None):
         if args.config:
             cfg.update(load_config(args.config))
         try:
-            out = emit_json(args.fn(args, cfg))
+            # a value that leaves the doubles is a NonFinite when printed,
+            # not a numpy warning on stderr
+            with np.errstate(all="ignore"):
+                out = emit_json(args.fn(args, cfg))
         except OverflowError as e:
             raise NonFinite(f"overflow: {e}") from None
     except ParseError as e:
@@ -450,7 +421,13 @@ def main(argv=None):
         err = {"error": str(e), "code": "InternalError", "type": type(e).__name__}
         print(emit_json(err), file=sys.stderr)
         return 1
-    print(out)
+    try:
+        print(out, flush=True)
+    except BrokenPipeError:
+        # the reader closed stdout early; pointing it at devnull keeps the
+        # flush at exit from printing a second error
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     return 0
 
 

@@ -14,6 +14,8 @@ import math
 import sys
 from fractions import Fraction
 
+from .exceptions import NotUnimodular
+
 _HASH_MOD = 2 ** sys.hash_info.width
 
 
@@ -197,3 +199,23 @@ def is_zero(c, tol=0.0):
     if isinstance(c, (int, Fraction)):
         return c == 0
     return abs(c) <= tol
+
+
+# 2 x 2 matrices: nested sequences of exact scalars or python or numpy numbers
+
+def unimodular_det(m, name, tol=0.0):
+    """det m if it is 1 within tol (exactly for exact entries, never for NaN)."""
+    det = m[0][0] * m[1][1] - m[0][1] * m[1][0]
+    if not is_zero(det - 1, tol):
+        raise NotUnimodular(f"det {name} = {det}")
+    return det
+
+
+def adj2(m):
+    """The adjugate of m: its inverse when det m = 1."""
+    return [[m[1][1], -m[0][1]], [-m[1][0], m[0][0]]]
+
+
+def mul2(x, y):
+    """The product x y as a nested list."""
+    return [[x[i][0] * y[0][j] + x[i][1] * y[1][j] for j in range(2)] for i in range(2)]

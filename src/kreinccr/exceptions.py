@@ -21,6 +21,10 @@ class NotUnimodular(KreinCcrError):
     code = "NotUnimodular"
 
 
+class NotInvolutive(KreinCcrError, ValueError):
+    code = "NotInvolutive"
+
+
 class ZeroVector(KreinCcrError):
     code = "ZeroVector"
 

@@ -24,8 +24,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .exceptions import (DomainError, NotRegularizable, NotUnimodular,
-                         NullSubrepresentation, ParseError)
+from .exact import adj2, unimodular_det
+from .exceptions import (DomainError, NotRegularizable, NullSubrepresentation,
+                         ParseError)
 
 SQRT2 = math.sqrt(2.0)
 
@@ -192,6 +193,12 @@ def build_schroedinger_theta(theta: float, gamma: float, levels: int,
                    theta, gamma, levels, sign, min_level)
 
 
+# The Gram leaves the doubles within this many levels of level 0 for any theta
+# and gamma, for good (0 and Inf are fixed points of its walk): s_k = log |g_k/g_0|
+# has s_2k - 2 s_k >= |k| log 2, which bounds its finite run by about 10^4 levels.
+_REACH = 1 << 14
+
+
 def _ladder(label, params, theta, gamma, levels, sign, min_level=0):
     """The V_theta ladder on levels min_level .. min_level + levels.
 
@@ -210,14 +217,21 @@ def _ladder(label, params, theta, gamma, levels, sign, min_level=0):
             raise NullSubrepresentation(
                 "theta = 0 with negative levels forces a null subspace",
                 chain=diag.chain)
-    ks = np.arange(min_level, min_level + levels + 1)
-    lo = min(min_level, 0)
+    top = min_level + levels
+    # the walk stops at +-_REACH; of the window's levels past it, all out of
+    # the doubles, only the nearest to zero on each side can be reported
+    ks = np.arange(max(min_level, -_REACH), min(top, _REACH) + 1)
+    far = [k for k in (min(top, -_REACH - 1), max(min_level, _REACH + 1))
+           if min_level <= k <= top]
+    lo, hi = max(min(min_level, 0), -_REACH), min(max(top, 0), _REACH)
     g0 = math.gamma(theta + 1)
     with np.errstate(all="ignore"):
-        factor = sign * _square(gamma) * (theta + np.arange(lo, max(ks[-1], 0) + 1))
+        factor = sign * _square(gamma) * (theta + np.arange(lo, hi + 1))
         up = np.cumprod(np.concatenate(([g0], factor[1 - lo:])))
         down = np.divide.accumulate(np.concatenate(([g0], factor[-lo:0:-1])))
     gram = np.concatenate((down[:0:-1], up))[ks - lo]
+    if far:
+        ks, gram = np.append(ks, far), np.append(gram, [np.inf] * len(far))
     _check_gram_levels(ks, ~np.isfinite(gram) | (gram == 0))
     lower = np.diag(sign * gamma * (theta + ks[1:]).astype(complex), 1)  # e_k -> e_{k-1}
     upper = np.diag(np.full(levels, 1.0 / gamma, dtype=complex), -1)  # e_k -> e_{k+1}
@@ -366,9 +380,7 @@ def reduce_to_canonical(v, mu=0.0, tol=1e-8) -> CanonicalForm:
     relative to max(1, max |V|).
     """
     v = np.asarray(v, dtype=complex)
-    det = v[0, 0] * v[1, 1] - v[0, 1] * v[1, 0]
-    if abs(det - 1) > tol:
-        raise NotUnimodular(f"det V = {det}")
+    unimodular_det(v, "V", tol)
 
     q, t = v[0, 1], v[1, 1]
     small = tol * max(1.0, np.max(np.abs(v)))
@@ -384,8 +396,7 @@ def reduce_to_canonical(v, mu=0.0, tol=1e-8) -> CanonicalForm:
         gamma = math.sqrt(abs(ratio))
         mu = complex(mu).real
         theta = _wrap_theta(-mu if sign > 0 else mu - 1)
-    can = _canonical_matrix(kind, sign, gamma)
-    adj = np.array([[can[1, 1], -can[0, 1]], [-can[1, 0], can[0, 0]]])
+    adj = np.array(adj2(_canonical_matrix(kind, sign, gamma)))
     return CanonicalForm(adj @ v, sign, kind, theta, gamma)
 
 

@@ -11,17 +11,15 @@ from __future__ import annotations
 import cmath
 from dataclasses import dataclass
 from enum import Enum
+from fractions import Fraction
 
 import numpy as np
 
-from .exact import ExactScalar
-from .exceptions import NotUnimodular, ZeroVector
+from .exact import ExactScalar, adj2, conj, mul2, unimodular_det
+from .exceptions import NonFinite, NotUnimodular, ZeroVector
 
 SIGMA1 = np.array([[0, 1], [1, 0]], dtype=complex)
-SIGMA2 = np.array([[0, -1j], [1j, 0]], dtype=complex)
 SIGMA3 = np.array([[1, 0], [0, -1]], dtype=complex)
-SIGMA_PLUS = (SIGMA1 + 1j * SIGMA2) / 2   # [[0,1],[0,0]]
-SIGMA_MINUS = (SIGMA1 - 1j * SIGMA2) / 2  # [[0,0],[1,0]]
 IDENTITY2 = np.eye(2, dtype=complex)
 
 
@@ -33,39 +31,27 @@ def s_lower(alpha, beta):
 
 
 def conjugation_from_V(v, tol=1e-10):
-    """C_K = conj(V)^{-1} sigma1 V for unimodular V."""
-    v = np.asarray(v, dtype=complex)
-    det = v[0, 0] * v[1, 1] - v[0, 1] * v[1, 0]
-    if abs(det - 1) > tol:
-        raise NotUnimodular(f"det V = {det}")
-    return np.linalg.inv(np.conj(v)) @ SIGMA1 @ v
+    """C_K = conj(V)^{-1} sigma1 V = adj(conj V) sigma1 V / conj(det V) for unimodular V.
 
-
-def conjugation_from_V_exact(v):
-    """conjugation_from_V over the exact scalar field Q(i, sqrt 2).
-
-    ``v`` is a 2x2 nested sequence of exact scalars (or ints/Fractions);
-    returns a 2x2 nested list.  For det V = 1, conj(V)^{-1} is the
-    adjugate of conj(V), so no division is needed.
+    Exact entries (ExactScalar, int, Fraction) must have det V = 1 exactly
+    and give a 2x2 nested list of ExactScalar; other entries give a complex
+    ndarray.
     """
-    m = [[ExactScalar.coerce(v[i][j]) for j in range(2)] for i in range(2)]
-    det = m[0][0] * m[1][1] - m[0][1] * m[1][0]
-    if not (det - ExactScalar(1)).is_zero():
-        raise NotUnimodular(f"det V = {det}")
-    cb = [[m[i][j].conjugate() for j in range(2)] for i in range(2)]
-    inv = [[cb[1][1], -cb[0][1]], [-cb[1][0], cb[0][0]]]
+    exact = all(isinstance(x, (ExactScalar, int, Fraction)) for row in v for x in row)
+    m = [[ExactScalar.coerce(x) if exact else complex(x) for x in row] for row in v]
+    det = unimodular_det(m, "V", tol)
     # sigma1 swaps the rows of V
-    sv = [m[1], m[0]]
-    return [[inv[i][0] * sv[0][j] + inv[i][1] * sv[1][j] for j in range(2)]
-            for i in range(2)]
+    c = mul2(adj2([[conj(x) for x in row] for row in m]), [m[1], m[0]])
+    return c if exact else np.array(c) / det.conjugate()
 
 
 def is_bogoliubov(t, c, tol=1e-10):
     """True iff det T = 1 and conj(T) C = C T."""
     t = np.asarray(t, dtype=complex)
     c = np.asarray(c, dtype=complex)
-    det = t[0, 0] * t[1, 1] - t[0, 1] * t[1, 0]
-    if abs(det - 1) > tol:
+    try:
+        unimodular_det(t, "T", tol)
+    except NotUnimodular:
         return False
     return np.max(np.abs(np.conj(t) @ c - c @ t)) <= tol * max(1.0, np.max(np.abs(c)))
 
@@ -151,6 +137,8 @@ def classify_orbit(n: SlVector, tol=1e-10) -> OrbitResult:
         return OrbitResult(OrbitKind.SIGMA_THREE, 0.0, b, lam)
 
     q = n.q()
+    if not cmath.isfinite(q):
+        raise NonFinite(f"the invariant q = {q} leaves the doubles")
     if small(q):
         # degenerate: scaled orbit of sigma-
         lam = n.nplus

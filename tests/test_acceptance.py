@@ -29,7 +29,7 @@ from kreinccr.reps import (build_antifock, build_fock_bargmann,
                            verify_rep)
 from kreinccr.sl2 import (IDENTITY2, SIGMA1, OrbitKind, SlVector,
                           adjoint_action, classify_orbit, conjugation_from_V,
-                          conjugation_from_V_exact, is_bogoliubov, s_lower)
+                          is_bogoliubov, s_lower)
 from kreinccr.truncfn import (TruncFn, annihilator_beta_minus, apply_dz,
                               apply_z, gamma_S, seminorm, verify_implementation)
 
@@ -90,7 +90,7 @@ def test_criterion_01_normal_ordering_oracle():
 def test_criterion_02_conjugation_formula():
     assert np.array_equal(conjugation_from_V(IDENTITY2), SIGMA1)
     r = INV_SQRT2
-    c = conjugation_from_V_exact([[r, -r], [r, r]])
+    c = conjugation_from_V([[r, -r], [r, r]])
     assert c[0][0] == 1 and c[1][1] == ExactScalar(-1)
     assert c[0][1].is_zero() and c[1][0].is_zero()
 

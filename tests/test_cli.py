@@ -1,5 +1,7 @@
 """Command-line interface: dispatch, JSON output, exit codes, stability."""
 
+import contextlib
+import io
 import json
 import math
 import os
@@ -7,10 +9,12 @@ import shlex
 import subprocess
 import sys
 import time
+import tracemalloc
 import warnings
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from kreinccr.cli import build_parser, emit_json, load_config, main
 from kreinccr.reps import build_schroedinger_theta
@@ -284,6 +288,21 @@ def test_gram_overflow_is_a_domain_error(capsys, argv, level):
     assert (doc["code"], doc["level"]) == ("DomainError", level)
 
 
+def test_levels_past_the_doubles_are_rejected_before_allocating(capsys):
+    # 10^11 levels would take 745 GiB; the error is that of a 200-level window
+    tracemalloc.start()
+    try:
+        code, out, err = run_cli(capsys, "build-rep", "--levels", "100000000000")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 1 and out == ""
+    doc = json.loads(err)
+    assert (doc["code"], doc["level"]) == ("DomainError", 171)
+    assert peak < 10 * 2 ** 20
+    assert err == run_cli(capsys, "build-rep", "--levels", "200")[2]
+
+
 def test_overflow_in_a_verb_is_a_non_finite_error(capsys):
     # q = n3^2 + nminus nplus overflows a float inside classify_orbit
     code, out, err = run_cli(capsys, "classify-orbit", "--n3", "1e200",
@@ -362,6 +381,13 @@ def test_import_does_not_load_scipy():
     ("reduce-canonical", "--v", "1,0,0,1", "--mu", "abc"),
     ("involve", "--c-matrix", "1,0,0,x", "z"),
     ("multimode-build", "--eta", "2"),
+    # a number must be finite, and lambda real
+    ("pcf-eval", "--lam", "nan", "--x", "0"),
+    ("pcf-eval", "--lam", "1+2j", "--x", "0"),
+    ("pcf-eval", "--lam", "2j", "--x", "0"),
+    ("reduce-canonical", "--v", "1/3,nan,nan,-1", "--mu", "nan"),
+    ("reduce-canonical", "--v", "1,nan,0,1"),
+    ("isomap", "a", "--v", "1,0,1e400j,1"),
 ])
 def test_malformed_cli_input_is_a_parse_error(capsys, argv):
     code, out, err = run_cli(capsys, *argv)
@@ -508,3 +534,81 @@ def test_a_rep_document_whose_gamma_squared_overflows(capsys):
     assert code == code2 == 1 and out == ""
     assert err == built and err.count("\n") == 1
     assert (json.loads(err)["code"], json.loads(err)["level"]) == ("DomainError", 1)
+
+
+@pytest.mark.parametrize("argv, error", [
+    (("involve", "z", "--c-matrix", "2,0,0,1"), "NotInvolutive"),
+    (("classify-orbit", "--n3", "1", "--nminus", "1e200", "--nplus", "1e200"), "NonFinite"),
+])
+def test_a_library_failure_on_odd_numbers_is_typed(capsys, argv, error):
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (1, "")
+    assert json.loads(err)["code"] == error
+
+
+ODD_NUMBERS = ("0", "1", "-1", "nan", "inf", "-inf", "1e308", "1e-320", "1e400",
+               "1+2j", "2j", "1/0", "", "1/3", "0.5", "-0.5")
+# the ones argparse's float type reads, for --theta and --gamma
+ODD_FLOATS = ("0", "1", "-1", "nan", "inf", "-inf", "1e308", "1e-320", "1e400", "0.5", "-0.5")
+
+
+@st.composite
+def numeric_argv(draw):
+    """A numeric verb with odd numbers, levels and caps at most 8."""
+    def nums(k):
+        return ",".join(draw(st.sampled_from(ODD_NUMBERS)) for _ in range(k))
+
+    verb = draw(st.sampled_from(("involve", "isomap", "classify-orbit", "gamma-s", "project",
+                                 "pcf-eval", "build-rep", "verify-rep", "reduce-canonical")))
+    cap = f"--degree-cap={draw(st.integers(0, 8))}"
+    if verb == "involve":
+        return [verb, "z d", f"--c-matrix={nums(4)}"]
+    if verb == "isomap":
+        return [verb, "a* a", f"--v={nums(4)}"]
+    if verb == "classify-orbit":
+        return [verb, f"--n3={nums(1)}", f"--nminus={nums(1)}", f"--nplus={nums(1)}"]
+    if verb == "gamma-s":
+        return [verb, f"--alpha={nums(1)}", f"--beta={nums(1)}",
+                f"--coeffs={nums(draw(st.integers(1, 3)))}", cap] + draw(
+                    st.sampled_from(([], ["--inverse"])))
+    if verb == "project":
+        return [verb, f"--k={draw(st.integers(-1, 8))}",
+                f"--coeffs={nums(draw(st.integers(1, 3)))}", cap]
+    if verb == "pcf-eval":
+        return [verb, f"--lam={nums(1)}", f"--x={nums(1)}"]
+    if verb == "reduce-canonical":
+        return [verb, f"--v={nums(4)}", f"--mu={nums(1)}"]
+    return [verb, f"--kind={draw(st.sampled_from(('fock', 'antifock', 'schroedinger')))}",
+            f"--levels={draw(st.integers(0, 8))}",
+            f"--theta={draw(st.sampled_from(ODD_FLOATS))}",
+            f"--gamma={draw(st.sampled_from(ODD_FLOATS))}",
+            f"--sign={draw(st.sampled_from((1, -1)))}",
+            f"--min-level={draw(st.integers(-2, 2))}"]
+
+
+@settings(derandomize=True, max_examples=600, deadline=None)
+@given(numeric_argv())
+def test_odd_numbers_give_one_typed_json_document(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 1, 2)
+    stream, other = (out, err) if code == 0 else (err, out)
+    assert other.getvalue() == ""
+    text = stream.getvalue()
+    assert text.count("\n") == 1
+    assert json.loads(text).get("code") != "InternalError"
+
+
+def test_a_closed_stdout_ends_without_a_traceback():
+    import kreinccr
+
+    src = str(Path(kreinccr.__file__).resolve().parents[1])
+    proc = subprocess.Popen([sys.executable, "-m", "kreinccr.cli", "build-rep", "--levels", "150"],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                            env={**os.environ, "PYTHONPATH": src})
+    proc.stdout.close()  # the reader leaves before the first byte
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 1
+    assert err == b""

@@ -12,8 +12,10 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.special import gamma as gamma_fn
 
+from kreinccr import reps
 from kreinccr.exceptions import (DomainError, NotRegularizable, NotUnimodular,
                                  NullSubrepresentation)
 from kreinccr.reps import (BasisRep, build_antifock, build_fock_bargmann,
@@ -107,6 +109,28 @@ def test_gram_outside_the_doubles_is_a_domain_error(build, args, level):
         build(*args)
     assert info.value.payload == {"level": level}
     assert f"level {level}" in str(info.value)
+
+
+def _first_level_out(theta, gamma, sign):
+    """The first level above zero whose Gram leaves the doubles, by a plain walk."""
+    g, k = math.gamma(theta + 1), 0
+    while math.isfinite(g) and g != 0:
+        k += 1
+        g *= sign * gamma ** 2 * (theta + k)
+    return k
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(st.floats(-0.999, 0.0), st.floats(-4.0, 4.0), st.sampled_from((1, -1)))
+def test_a_window_past_the_doubles_names_the_first_level_out(theta, log_gamma, sign):
+    # the builder walks no further than _REACH levels, so 10^11 levels
+    # allocate nothing; the Gram is out of the doubles well before that
+    gamma = 10.0 ** log_gamma
+    level = _first_level_out(theta, gamma, sign)
+    assert level < reps._REACH
+    with pytest.raises(DomainError) as info:
+        build_schroedinger_theta(theta, gamma, 10 ** 11, sign)
+    assert info.value.payload == {"level": level}
 
 
 def test_all_reps_verify():

@@ -1,16 +1,18 @@
 """Conjugation matrices, Bogoliubov checks, and adjoint orbits."""
 
 import cmath
+from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from kreinccr.exact import INV_SQRT2, ExactScalar
-from kreinccr.exceptions import NotUnimodular, ZeroVector
+from kreinccr.algebra import HEISENBERG, AlgebraElement, Involution, apply_isomorphism
+from kreinccr.exact import I, INV_SQRT2, ONE, ExactScalar, mul2
+from kreinccr.exceptions import NonFinite, NotUnimodular, ZeroVector
 from kreinccr.sl2 import (IDENTITY2, SIGMA1, SIGMA3, OrbitKind, SlVector,
                           adjoint_action, classify_orbit, conjugation_from_V,
-                          conjugation_from_V_exact, is_bogoliubov, s_lower)
+                          is_bogoliubov, s_lower)
 
 
 def random_unimodular(rng):
@@ -25,7 +27,7 @@ def random_unimodular(rng):
 def test_conjugation_identity_and_schroedinger():
     assert np.array_equal(conjugation_from_V(IDENTITY2), SIGMA1)
     r = INV_SQRT2
-    exact = conjugation_from_V_exact([[r, -r], [r, r]])
+    exact = conjugation_from_V([[r, -r], [r, r]])
     assert exact[0][0] == 1 and exact[1][1] == -1
     assert exact[0][1].is_zero() and exact[1][0].is_zero()
 
@@ -42,8 +44,45 @@ def test_conjugation_rejects_non_unimodular():
     with pytest.raises(NotUnimodular):
         conjugation_from_V([[2, 0], [0, 1]])
     with pytest.raises(NotUnimodular):
-        conjugation_from_V_exact([[ExactScalar(2), ExactScalar()],
-                                  [ExactScalar(), ExactScalar(1)]])
+        conjugation_from_V([[ExactScalar(2), ExactScalar()],
+                            [ExactScalar(), ExactScalar(1)]])
+
+
+def test_conjugation_types_follow_the_entries():
+    c = conjugation_from_V([[1, Fraction(1, 2)], [0, 1]])
+    assert all(isinstance(x, ExactScalar) for row in c for x in row)
+    assert conjugation_from_V([[1.0, 0.5], [0, 1]]).dtype == complex
+    # a NaN determinant is not 1
+    with pytest.raises(NotUnimodular):
+        conjugation_from_V([[1.0, float("nan")], [0, 1]])
+
+
+# V in SL(2, Q(i, sqrt 2)): three elementary factors with entries in
+# (1/2) Z[i, sqrt 2], then the Schroedinger V or not
+_HALVES = st.builds(lambda *k: ExactScalar(*(Fraction(n, 2) for n in k)),
+                    *[st.integers(-2, 2)] * 4)
+_ZERO = ExactScalar(0)
+_A = AlgebraElement.generator(HEISENBERG, "a")
+_ASTAR = AlgebraElement.generator(HEISENBERG, "a*")
+
+
+@st.composite
+def exact_sl2(draw):
+    s, t, u = draw(_HALVES), draw(_HALVES), draw(_HALVES)
+    v = mul2(mul2([[ONE, s], [_ZERO, ONE]], [[ONE, _ZERO], [t, ONE]]), [[ONE, u], [_ZERO, ONE]])
+    if draw(st.booleans()):
+        r = INV_SQRT2
+        v = mul2(v, [[r, -r], [r, r]])
+    return v
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(exact_sl2())
+def test_conjugation_makes_the_isomorphism_a_star_map(v):
+    # K(sigma_V(x)) = sigma_V(x*) exactly, for K with matrix conj(V)^{-1} sigma1 V
+    k = Involution(conjugation_from_V(v))
+    for x in (_A, _ASTAR, _ASTAR * _A, _A * _A * _ASTAR, (I * _A + _ASTAR) * _A):
+        assert k.apply(apply_isomorphism(v, x)) == apply_isomorphism(v, x.star())
 
 
 def test_is_bogoliubov():
@@ -103,6 +142,12 @@ def test_canonical_elements_classify_to_themselves():
 def test_zero_vector_rejected():
     with pytest.raises(ZeroVector):
         classify_orbit(SlVector(0, 0, 0))
+
+
+def test_an_invariant_past_the_doubles_is_non_finite():
+    # q = 1 + 1e400 overflows; its square root and logarithm would not
+    with pytest.raises(NonFinite):
+        classify_orbit(SlVector(1.0, 1e200, 1e200))
 
 
 def test_q_is_invariant_and_classification_stable():

@@ -5,7 +5,8 @@ library, and prints one JSON document on stdout.  Errors are printed as
 JSON on stderr with a machine-readable ``code`` field; exit status is 0
 on success, 1 on domain errors (``NonFinite`` for NaN, Inf or overflow)
 and on unexpected failures (``InternalError``, naming the exception type),
-2 on parse errors (a number that is NaN or past the doubles among them).
+2 on parse errors: every number, --theta, --gamma and config values included,
+is read by ``_number``, so NaN, Inf and overflow are parse errors everywhere.
 A stdout closed by its reader ends the call silently with exit 1.  Floats
 have 17 significant digits: output is byte-stable.
 """
@@ -78,18 +79,17 @@ def _scalar_or_pair(z):
 # -- input parsing helpers ---------------------------------------------
 
 def _number(text, real=False):
-    """A finite number from the command line ('1/2', '0.3', '1+2j'), real if
-    ``real``; NaN, overflow and a complex where a real is due are ParseErrors."""
+    """p/q, a decimal (-0 reads +0.0) or a complex ('1+2j', '3i'), real if ``real``; NaN,
+    Inf, overflow and a complex for a real are ParseErrors.  Decimals skip Fraction's slow 10^N."""
     text = text.strip()
     try:
-        return float(Fraction(text))
+        z = float(Fraction(text)) if "/" in text else (float(text) or 0.0)
     except (ValueError, ZeroDivisionError, OverflowError):
-        pass
-    try:
-        z = complex(text.replace("i", "j"))
-    except ValueError:
-        raise ParseError(f"not a number: {text!r}", offset=0,
-                         expected=("number",)) from None
+        try:
+            z = complex(text.replace("i", "j"))
+        except ValueError:
+            raise ParseError(f"not a number: {text!r}", offset=0,
+                             expected=("number",)) from None
     if not cmath.isfinite(z) or (real and z.imag):
         what = "real number" if real else "number"
         raise ParseError(f"not a finite {what}: {text!r}", offset=0, expected=(what,))
@@ -171,10 +171,9 @@ def load_config(path):
             raise ParseError(f"config line {lineno}: unknown key {key!r}",
                              offset=0, expected=CONFIG_KEYS)
         try:
-            out[key] = float(value.strip())
-        except ValueError:
-            raise ParseError(f"config line {lineno}: {key} is not a number",
-                             offset=0, expected=("number",)) from None
+            out[key] = _number(value, real=True)
+        except ParseError as e:
+            raise ParseError(f"config line {lineno}: {key} is {e}", 0, e.expected) from None
         if key == "degree_cap" and not out[key].is_integer():
             raise ParseError(f"config line {lineno}: degree_cap is not a whole number",
                              offset=0, expected=("integer",))
@@ -254,13 +253,17 @@ def cmd_pcf_eval(args, cfg):
 
 
 def _build_rep(args):
-    if args.kind == "fock":
-        return reps.build_fock_bargmann(args.levels)
-    if args.kind == "antifock":
-        return reps.build_antifock(args.levels)
-    return reps.build_schroedinger_theta(
-        theta=args.theta, gamma=args.gamma, levels=args.levels,
-        sign=args.sign, min_level=args.min_level)
+    theta, gamma = _number(args.theta, real=True), _number(args.gamma, real=True)
+    if args.kind == "schroedinger":
+        return reps.build_schroedinger_theta(theta=theta, gamma=gamma, levels=args.levels,
+                                             sign=args.sign, min_level=args.min_level)
+    # the Bargmann kinds are the theta = 0, gamma = 1 ladders from level 0
+    for flag, value, fixed in (("--theta", theta, 0), ("--gamma", gamma, 1),
+                               ("--min-level", args.min_level, 0)):
+        if value != fixed:
+            raise DomainError(f"{flag} applies only to --kind schroedinger", flag=flag)
+    build = reps.build_fock_bargmann if args.kind == "fock" else reps.build_antifock
+    return build(args.levels)
 
 
 def cmd_build_rep(args, cfg):
@@ -331,8 +334,8 @@ _CAP = ("--degree-cap", {"type": int})
 _V = ("--v", {"required": True, "help": "4 comma-separated entries of V"})
 _REP_ARGS = (("--kind", {"choices": ("fock", "antifock", "schroedinger"), "default": "fock"}),
              ("--levels", {"type": int, "default": 8}),
-             ("--theta", {"type": float, "default": 0.0}),
-             ("--gamma", {"type": float, "default": 1.0}),
+             ("--theta", {"default": "0"}),
+             ("--gamma", {"default": "1"}),
              ("--sign", {"type": int, "choices": (1, -1), "default": 1}),
              ("--min-level", {"type": int, "default": 0}))
 

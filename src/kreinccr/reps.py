@@ -211,13 +211,12 @@ def _ladder(label, params, theta, gamma, levels, sign, min_level=0):
     """
     if levels < 0:
         raise DomainError(f"levels = {levels} must be nonnegative")
-    if min_level < 0:
-        diag = detect_null_subrep(theta, min_level, min_level + levels, gamma)
-        if diag.has_null:
-            raise NullSubrepresentation(
-                "theta = 0 with negative levels forces a null subspace",
-                chain=diag.chain)
     top = min_level + levels
+    if _forced_levels(theta, min_level, top):
+        # the chain of the window clipped to |k| <= _REACH keeps the payload bounded
+        diag = detect_null_subrep(theta, max(min_level, -_REACH), min(top, _REACH), gamma)
+        raise NullSubrepresentation("theta = 0 with negative levels forces a null subspace",
+                                    chain=diag.chain)
     # the walk stops at +-_REACH; of the window's levels past it, all out of
     # the doubles, only the nearest to zero on each side can be reported
     ks = np.arange(max(min_level, -_REACH), min(top, _REACH) + 1)
@@ -293,10 +292,7 @@ def detect_null_subrep(theta: float, min_level: int, max_level: int,
     product, which can underflow to 0 or overflow to Inf and NaN.
     """
     ks = np.arange(min_level, max_level + 1)
-    k0 = -theta
-    forced = []
-    if float(k0).is_integer() and min_level < k0 <= max_level:
-        forced = list(range(int(k0), max_level + 1))
+    forced = _forced_levels(theta, min_level, max_level)
     with np.errstate(all="ignore"):
         factor = _square(gamma) * (theta + ks.astype(float))
         factor[:1] = 1.0
@@ -304,8 +300,8 @@ def detect_null_subrep(theta: float, min_level: int, max_level: int,
     gram[len(ks) - len(forced):] = 0.0
     chain = [f"g({min_level}) := 1 (free normalization)"]
     for k, g in zip(ks[1:].tolist(), gram[1:].tolist()):
-        if forced and k >= k0:
-            value = f"0  [{'zero ladder factor' if k == k0 else 'propagated zero'}]"
+        if k in forced:
+            value = f"0  [{'zero ladder factor' if k == forced[0] else 'propagated zero'}]"
         else:
             value = f"{g:.6g}"
         chain.append(f"g({k}) = gamma^2 (theta + {k}) g({k - 1}) = {value}")
@@ -314,9 +310,16 @@ def detect_null_subrep(theta: float, min_level: int, max_level: int,
         theta=theta,
         levels=ks,
         gram=gram,
-        forced_zero_levels=forced,
+        forced_zero_levels=list(forced),
         chain=chain,
     )
+
+
+def _forced_levels(theta, min_level, max_level):
+    """k0 .. max_level for k0 = -theta an integer in (min_level, max_level], else none."""
+    k0 = -theta
+    forced = float(k0).is_integer() and min_level < k0 <= max_level
+    return range(int(k0), max_level + 1) if forced else range(0)
 
 
 def _check_gram_levels(ks, bad):

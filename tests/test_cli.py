@@ -177,8 +177,9 @@ def test_config_rejects_unknown_keys(tmp_path):
         load_config(str(cfg))
 
 
-@pytest.mark.parametrize("content", [None, "tolerance = abc\n"],
-                         ids=["missing", "non-numeric"])
+@pytest.mark.parametrize("content", [None, "tolerance = abc\n", "tolerance = inf\n",
+                                     "tolerance = nan\n"],
+                         ids=["missing", "non-numeric", "inf", "nan"])
 def test_unreadable_or_non_numeric_config_is_a_parse_error(capsys, tmp_path, content):
     cfg = tmp_path / "kreinccr.conf"
     if content is not None:
@@ -303,6 +304,53 @@ def test_levels_past_the_doubles_are_rejected_before_allocating(capsys):
     assert err == run_cli(capsys, "build-rep", "--levels", "200")[2]
 
 
+def test_a_long_exponent_is_rejected_from_its_text(capsys):
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "pcf-eval", "--lam", "1e3000000", "--x", "0")
+    assert time.perf_counter() - start < 0.2
+    assert code == 2 and out == ""
+    assert json.loads(err)["code"] == "ParseError"
+
+
+def test_a_window_that_forces_no_null_subspace_builds_no_chain(capsys):
+    # theta = -1/2 forces nothing: the error is the Gram's, without a chain
+    # of 300001 levels on the way
+    tracemalloc.start()
+    try:
+        code, out, err = run_cli(capsys, "build-rep", "--kind", "schroedinger", "--theta",
+                                 "-0.5", "--min-level", "-1", "--levels", "300000")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 1 and out == ""
+    assert (json.loads(err)["code"], json.loads(err)["level"]) == ("DomainError", 172)
+    assert peak < 10 * 2 ** 20
+    # a forced window's chain stops at level 2^14, however far the window goes
+    forced = ("build-rep", "--kind", "schroedinger", "--theta", "0", "--min-level", "-1")
+    far = run_cli(capsys, *forced, "--levels", "1000000000")
+    assert far[0] == 1 and json.loads(far[2])["code"] == "NullSubrepresentation"
+    assert far == run_cli(capsys, *forced, "--levels", str(2 ** 14 + 1))
+
+
+def test_rep_flags_read_as_every_number_does(capsys):
+    fraction = run_cli(capsys, "build-rep", "--kind", "schroedinger", "--theta=-1/2",
+                       "--gamma", "1/2", "--levels", "3")
+    assert fraction[0] == 0
+    assert fraction == run_cli(capsys, "build-rep", "--kind", "schroedinger",
+                               "--theta", "-0.5", "--gamma", "0.5", "--levels", "3")
+
+
+@pytest.mark.parametrize("verb", ["build-rep", "verify-rep"])
+@pytest.mark.parametrize("kind, flag, value", [
+    ("fock", "--min-level", "-3"), ("fock", "--theta", "-0.5"), ("antifock", "--gamma", "3")])
+def test_bargmann_kinds_reject_ladder_flags(capsys, verb, kind, flag, value):
+    code, out, err = run_cli(capsys, verb, "--kind", kind, f"{flag}={value}", "--levels", "2")
+    assert code == 1 and out == ""
+    doc = json.loads(err)
+    assert (doc["code"], doc["flag"]) == ("DomainError", flag)
+    assert flag in doc["error"]
+
+
 def test_overflow_in_a_verb_is_a_non_finite_error(capsys):
     # q = n3^2 + nminus nplus overflows a float inside classify_orbit
     code, out, err = run_cli(capsys, "classify-orbit", "--n3", "1e200",
@@ -388,6 +436,10 @@ def test_import_does_not_load_scipy():
     ("reduce-canonical", "--v", "1/3,nan,nan,-1", "--mu", "nan"),
     ("reduce-canonical", "--v", "1,nan,0,1"),
     ("isomap", "a", "--v", "1,0,1e400j,1"),
+    # --theta and --gamma too
+    ("verify-rep", "--kind", "schroedinger", "--theta", "-0.5", "--gamma", "nan",
+     "--levels", "0"),
+    ("build-rep", "--kind", "schroedinger", "--theta", "inf"),
 ])
 def test_malformed_cli_input_is_a_parse_error(capsys, argv):
     code, out, err = run_cli(capsys, *argv)
@@ -548,8 +600,6 @@ def test_a_library_failure_on_odd_numbers_is_typed(capsys, argv, error):
 
 ODD_NUMBERS = ("0", "1", "-1", "nan", "inf", "-inf", "1e308", "1e-320", "1e400",
                "1+2j", "2j", "1/0", "", "1/3", "0.5", "-0.5")
-# the ones argparse's float type reads, for --theta and --gamma
-ODD_FLOATS = ("0", "1", "-1", "nan", "inf", "-inf", "1e308", "1e-320", "1e400", "0.5", "-0.5")
 
 
 @st.composite
@@ -580,8 +630,8 @@ def numeric_argv(draw):
         return [verb, f"--v={nums(4)}", f"--mu={nums(1)}"]
     return [verb, f"--kind={draw(st.sampled_from(('fock', 'antifock', 'schroedinger')))}",
             f"--levels={draw(st.integers(0, 8))}",
-            f"--theta={draw(st.sampled_from(ODD_FLOATS))}",
-            f"--gamma={draw(st.sampled_from(ODD_FLOATS))}",
+            f"--theta={nums(1)}",
+            f"--gamma={nums(1)}",
             f"--sign={draw(st.sampled_from((1, -1)))}",
             f"--min-level={draw(st.integers(-2, 2))}"]
 

@@ -7,8 +7,8 @@ on success, 1 on domain errors (``NonFinite`` for NaN, Inf or overflow)
 and on unexpected failures (``InternalError``, naming the exception type),
 2 on parse errors: every number, --theta, --gamma and config values included,
 is read by ``_number``, so NaN, Inf and overflow are parse errors everywhere.
-A stdout closed by its reader ends the call silently with exit 1.  Floats
-have 17 significant digits: output is byte-stable.
+A stdout closed by its reader ends the call silently with exit 1.  Output is
+written by ``jsondoc.emit_json``, as the library's ``to_json`` is.
 """
 
 from __future__ import annotations
@@ -16,7 +16,6 @@ from __future__ import annotations
 import argparse
 import cmath
 import functools
-import json
 import os
 import sys
 from fractions import Fraction
@@ -28,52 +27,17 @@ from .algebra import (Involution, apply_isomorphism, commutator,
                       format_element, normal_order)
 from .dsl import parse_expr, to_element
 from .exceptions import DomainError, KreinCcrError, NonFinite, ParseError
+from .jsondoc import emit_json
 
 CONFIG_KEYS = ("degree_cap", "tolerance", "lambda_window", "x_window")
 DEFAULTS = {"degree_cap": 16, "tolerance": 1e-10,
             "lambda_window": pcf.LAMBDA_WINDOW, "x_window": pcf.X_WINDOW}
 
 
-# -- deterministic JSON ------------------------------------------------
-
-def _fmt_float(x: float) -> str:
-    if x != x or x in (float("inf"), float("-inf")):
-        raise NonFinite(f"non-finite value {x} in output")
-    if x == 0:
-        x = 0.0  # normalize -0.0
-    s = format(x, ".17g")
-    return s
-
-
-def emit_json(obj) -> str:
-    """json.dumps with fixed float formatting and sorted keys."""
-    if isinstance(obj, dict):
-        items = ",".join(f"{json.dumps(str(k))}:{emit_json(v)}"
-                         for k, v in sorted(obj.items(), key=lambda kv: str(kv[0])))
-        return "{" + items + "}"
-    if isinstance(obj, (list, tuple)):
-        return "[" + ",".join(emit_json(v) for v in obj) + "]"
-    if isinstance(obj, bool):
-        return "true" if obj else "false"
-    if isinstance(obj, (int, np.integer)):
-        return str(int(obj))
-    if isinstance(obj, (float, np.floating)):
-        return _fmt_float(float(obj))
-    if isinstance(obj, (complex, np.complexfloating)):
-        return emit_json([obj.real, obj.imag])
-    if isinstance(obj, str):
-        return json.dumps(obj)
-    if obj is None:
-        return "null"
-    raise TypeError(f"cannot serialize {type(obj).__name__}")
-
-
 def _scalar_or_pair(z):
-    """Real numbers as plain floats, properly complex ones as [re, im]."""
+    """Real numbers as plain floats, properly complex ones as complex ([re, im])."""
     z = complex(z)
-    if z.imag == 0:
-        return z.real
-    return [z.real, z.imag]
+    return z if z.imag else z.real
 
 
 # -- input parsing helpers ---------------------------------------------
@@ -223,16 +187,14 @@ def cmd_gamma_s(args, cfg):
     beta = _number(args.beta)
     g = (truncfn.gamma_S_inverse(alpha, beta, f) if args.inverse
          else truncfn.gamma_S(alpha, beta, f))
-    out = json.loads(g.to_json())
-    out["implementation_residual"] = truncfn.verify_implementation(alpha, beta, f)
-    return out
+    return {**g.to_doc(),
+            "implementation_residual": truncfn.verify_implementation(alpha, beta, f)}
 
 
 def cmd_project(args, cfg):
     cap = _degree_cap(args, cfg)
     f = _truncfn_arg(args, cap)
-    g = truncfn.fourier_project(truncfn.rotation_family, f, args.k)
-    return json.loads(g.to_json())
+    return truncfn.fourier_project(truncfn.rotation_family, f, args.k).to_doc()
 
 
 def cmd_pcf_eval(args, cfg):
@@ -267,7 +229,7 @@ def _build_rep(args):
 
 
 def cmd_build_rep(args, cfg):
-    return json.loads(_build_rep(args).to_json())
+    return _build_rep(args).to_doc()
 
 
 def cmd_verify_rep(args, cfg):
@@ -323,7 +285,7 @@ def cmd_vacuum_descent(args, cfg):
     rep = multimode.build_multimode_rep(eta, cap)
     f = _state_arg(args.f, cap)
     psi0 = multimode.vacuum_descent(rep, f)
-    return {"vacuum": json.loads(psi0.to_json()),
+    return {"vacuum": psi0.to_doc(),
             "on_constant_ray": set(psi0.terms) == {()}}
 
 
@@ -414,7 +376,8 @@ def main(argv=None):
         err = {"error": str(e), "code": e.code}
         for k, v in e.payload.items():
             try:
-                err[k] = json.loads(emit_json(v))
+                emit_json(v)  # a value emit_json cannot write is sent as its str
+                err[k] = v
             except TypeError:
                 err[k] = str(v)
         print(emit_json(err), file=sys.stderr)

@@ -15,7 +15,6 @@ the gauge diagonal; the dense ladder matrices are built only when read.
 
 from __future__ import annotations
 
-import json
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass, field
@@ -25,8 +24,8 @@ from itertools import combinations_with_replacement, zip_longest
 import numpy as np
 
 from .algebra import AlgebraElement, _mode_of, multimode_set, substitute
-from .exceptions import (Degenerate, DomainError, NotHermitian, ParseError,
-                         ZeroInput)
+from .exceptions import Degenerate, DomainError, NotHermitian, ZeroInput
+from .jsondoc import checked, emit_json, read_doc
 
 
 @dataclass(frozen=True)
@@ -103,25 +102,21 @@ class MultiIndexState:
     def norm(self):
         return math.sqrt(sum(abs(c) ** 2 for c in self.terms.values()))
 
+    def to_doc(self):
+        """The document that to_json writes."""
+        return {"cap": self.cap,
+                "terms": [[list(k), complex(self.terms[k])] for k in sorted(self.terms)]}
+
     def to_json(self):
-        keys = sorted(self.terms)
-        return json.dumps({
-            "cap": self.cap,
-            "terms": [[list(k), [complex(self.terms[k]).real,
-                                 complex(self.terms[k]).imag]] for k in keys],
-        })
+        return emit_json(self.to_doc())
 
     @classmethod
     def from_json(cls, text):
         """State from {"cap": int, "terms": [[index, [re, im]], ...]}; text
         of another shape, or an index the cap does not admit, is a ParseError."""
-        try:
-            obj = json.loads(text)
-            return cls({tuple(idx): complex(re, im) for idx, (re, im) in obj["terms"]},
-                       obj["cap"])
-        except (KeyError, TypeError, ValueError) as e:
-            raise ParseError(f"state JSON: {e!r}", offset=getattr(e, "pos", 0),
-                             expected=("cap", "terms")) from None
+        return read_doc(text, "state", ("cap", "terms"), lambda obj: cls(
+            {tuple(checked(n, "an index entry") for n in idx): complex(re, im)
+             for idx, (re, im) in obj["terms"]}, checked(obj["cap"], "cap")))
 
     def __repr__(self):
         return f"MultiIndexState({self.terms!r}, cap={self.cap})"

@@ -18,15 +18,14 @@ theta alone decides which levels a window forces to a null subspace.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .exact import adj2, unimodular_det
-from .exceptions import (DomainError, NotRegularizable, NullSubrepresentation,
-                         ParseError)
+from .exceptions import DomainError, NotRegularizable, NullSubrepresentation
+from .jsondoc import emit_json, read_doc
 
 SQRT2 = math.sqrt(2.0)
 
@@ -56,28 +55,29 @@ class BasisRep:
         g = np.asarray(g, dtype=complex)
         return complex(np.sum(np.conj(f) * self.gram_diag * g))
 
-    def to_json(self):
-        n = self.size
+    def to_doc(self):
+        """The document that to_json writes."""
 
         def band(m):
             # ladder matrices are bidiagonal; keep both off-diagonals so
             # raising and lowering conventions both round-trip
-            return {
-                "lower": [_c2(m[i + 1, i]) for i in range(n - 1)],
-                "upper": [_c2(m[i, i + 1]) for i in range(n - 1)],
-            }
+            return {"lower": m.diagonal(-1).astype(complex).tolist(),
+                    "upper": m.diagonal(1).astype(complex).tolist()}
 
-        return json.dumps({
+        return {
             "label": self.label,
-            "params": {k: _jsonable(v) for k, v in self.params.items()},
+            "params": self.params,
             "min_level": self.min_level,
-            "size": n,
+            "size": self.size,
             "a_band": band(self.a_mat),
             "adag_band": band(self.adag_mat),
-            "gauge_diagonal": [_c2(x) for x in self.gauge_diag],
-            "gram_diagonal": [float(x) for x in self.gram_diag],
-            "signature": [int(np.sign(x)) for x in self.gram_diag],
-        }, sort_keys=True)
+            "gauge_diagonal": self.gauge_diag.astype(complex).tolist(),
+            "gram_diagonal": self.gram_diag.tolist(),
+            "signature": np.sign(self.gram_diag).astype(int).tolist(),
+        }
+
+    def to_json(self):
+        return emit_json(self.to_doc())
 
     @classmethod
     def from_json(cls, text):
@@ -91,8 +91,7 @@ class BasisRep:
                 m[i, i + 1] = complex(*v)
             return m
 
-        try:
-            obj = json.loads(text)
+        def build(obj):
             n, params = obj["size"], obj["params"]
             # verify_rep reads both diagonals and a Schroedinger Gram's parameters
             if len(obj["gauge_diagonal"]) != n or len(obj["gram_diagonal"]) != n:
@@ -117,21 +116,8 @@ class BasisRep:
                     raise ValueError("a schroedinger_theta sign must be the integer +1 or -1")
             return cls(label=obj["label"], a_mat=a_mat, adag_mat=adag_mat, gauge_diag=gauge,
                        gram_diag=gram, params=params, min_level=obj["min_level"])
-        except (KeyError, TypeError, ValueError, IndexError, AttributeError,
-                OverflowError) as e:
-            raise ParseError(f"representation JSON: {e!r}", offset=getattr(e, "pos", 0),
-                             expected=("size", "a_band", "adag_band")) from None
 
-
-def _c2(z):
-    z = complex(z)
-    return [z.real, z.imag]
-
-
-def _jsonable(v):
-    if isinstance(v, (np.floating, np.integer)):
-        return v.item()
-    return v
+        return read_doc(text, "representation", ("size", "a_band", "adag_band"), build)
 
 
 @dataclass(frozen=True)
@@ -179,10 +165,10 @@ def build_schroedinger_theta(theta: float, gamma: float, levels: int,
     zero forces a null subrepresentation and the build fails with the
     forcing chain attached.
     """
-    if not (-1 < theta <= 0):
-        raise DomainError(f"theta = {theta} outside (-1, 0]")
     if isinstance(theta, complex):
         raise DomainError("theta must be real")
+    if not (-1 < theta <= 0):
+        raise DomainError(f"theta = {theta} outside (-1, 0]")
     if gamma <= 0:
         raise DomainError(f"gamma = {gamma} must be positive")
     if sign not in (+1, -1):

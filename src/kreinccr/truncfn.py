@@ -7,13 +7,12 @@ genuinely entire objects like exp(-z^2/2) remain representable.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
 
-from .exceptions import DomainError, ParseError, SingularTransformation
-
+from .exceptions import DomainError, SingularTransformation
+from .jsondoc import checked, emit_json, read_doc
 
 
 @dataclass(frozen=True, eq=False)
@@ -72,23 +71,21 @@ class TruncFn:
 
     # -- serialization ------------------------------------------------
 
+    def to_doc(self):
+        """The document that to_json writes."""
+        return {"degree_cap": self.degree_cap, "exact": bool(self.exact),
+                "coefficients": self.coeffs.tolist()}
+
     def to_json(self):
-        return json.dumps({
-            "degree_cap": self.degree_cap,
-            "exact": self.exact,
-            "coefficients": [[c.real, c.imag] for c in self.coeffs],
-        })
+        return emit_json(self.to_doc())
 
     @classmethod
     def from_json(cls, text):
         """Inverse of to_json; text of another shape is a ParseError."""
-        try:
-            obj = json.loads(text)
-            c = [complex(re, im) for re, im in obj["coefficients"]]
-            return cls.from_coeffs(c, obj["degree_cap"], obj["exact"])
-        except (KeyError, TypeError, ValueError) as e:
-            raise ParseError(f"TruncFn JSON: {e!r}", offset=getattr(e, "pos", 0),
-                             expected=("coefficients", "degree_cap", "exact")) from None
+        return read_doc(text, "TruncFn", ("coefficients", "degree_cap", "exact"), lambda obj: (
+            cls.from_coeffs([complex(re, im) for re, im in obj["coefficients"]],
+                            checked(obj["degree_cap"], "degree_cap"),
+                            checked(obj["exact"], "exact", bool))))
 
 
 def _align(a: TruncFn, b: TruncFn):

@@ -17,7 +17,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from kreinccr.cli import build_parser, emit_json, load_config, main
-from kreinccr.reps import build_schroedinger_theta
+from kreinccr.multimode import (EtaSignature, MultiIndexState, build_multimode_rep,
+                                vacuum_descent)
+from kreinccr.reps import build_antifock, build_fock_bargmann, build_schroedinger_theta
+from kreinccr.truncfn import TruncFn, fourier_project, rotation_family
 
 
 def run_cli(capsys, *argv):
@@ -225,6 +228,33 @@ def test_negative_degree_cap_is_a_domain_error(capsys, tmp_path, argv, source):
     assert "-3" in doc["error"]
 
 
+@pytest.mark.parametrize("kind, sign", [
+    ("fock", 1), ("antifock", 1), ("schroedinger", 1), ("schroedinger", -1)])
+def test_build_rep_prints_the_library_document(capsys, kind, sign):
+    argv = ["build-rep", "--kind", kind, "--levels", "5"]
+    if kind == "schroedinger":
+        argv += ["--theta", "-0.25", "--gamma", "1.5", "--sign", str(sign)]
+        rep = build_schroedinger_theta(-0.25, 1.5, 5, sign=sign)
+    else:
+        rep = (build_fock_bargmann if kind == "fock" else build_antifock)(5)
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, err) == (0, "")
+    assert out == rep.to_json() + "\n"
+
+
+def test_project_and_vacuum_descent_print_the_library_documents(capsys):
+    code, out, _ = run_cli(capsys, "project", "--k", "2", "--coeffs", "1,0.1,1/3",
+                           "--degree-cap", "4")
+    f = TruncFn.from_coeffs([1, 0.1, 1 / 3], 4)
+    assert code == 0 and out == fourier_project(rotation_family, f, 2).to_json() + "\n"
+    state = '{"cap": 4, "terms": [[[1, 1], [1.0, 0.0]], [[0, 2], [0.5, -0.25]]]}'
+    code, out, _ = run_cli(capsys, "vacuum-descent", "--eta", "+1,-1", "--degree-cap", "4",
+                           "--f", state)
+    psi = vacuum_descent(build_multimode_rep(EtaSignature((1, -1)), 4),
+                         MultiIndexState.from_json(state))
+    assert code == 0 and out.endswith('"vacuum":' + psi.to_json() + "}\n")
+
+
 def test_emit_json_formatting():
     assert emit_json({"b": 1, "a": 0.5}) == '{"a":0.5,"b":1}'
     assert emit_json([True, None, "x"]) == '[true,null,"x"]'
@@ -262,6 +292,20 @@ def test_state_above_the_degree_cap_is_a_domain_error(capsys):
     ("spectral-check", "--eta", "+1", "--degree-cap", "3",
      "--f", '{"cap": 3, "terms": [[[1], [1.0]]]}', "--g", '{"cap": 3, "terms": []}'),
     ("vacuum-descent", "--eta", "+1", "--degree-cap", "3", "--f", '{"cap": 3, "terms": ['),
+    # a cap and index entries are nonnegative integers, not bools or floats
+    ("vacuum-descent", "--eta", "+1", "--degree-cap", "3",
+     "--f", '{"cap": 3, "terms": [[[1.5], [1, 0]]]}'),
+    ("vacuum-descent", "--eta", "+1", "--degree-cap", "3",
+     "--f", '{"cap": 3, "terms": [[[true], [1, 0]]]}'),
+    ("vacuum-descent", "--eta", "+1", "--degree-cap", "1",
+     "--f", '{"cap": true, "terms": [[[1], [1, 0]]]}'),
+    ("vacuum-descent", "--eta", "+1", "--degree-cap", "3",
+     "--f", '{"cap": 2.5, "terms": [[[1], [1, 0]]]}'),
+    ("vacuum-descent", "--eta", "+1", "--degree-cap", "3",
+     "--f", '{"cap": -1, "terms": []}'),
+    # an integer past the doubles
+    ("vacuum-descent", "--eta", "+1", "--degree-cap", "3",
+     "--f", '{"cap": 3, "terms": [[[1], [1%s, 0]]]}' % ("0" * 400)),
 ])
 def test_malformed_state_json_is_a_parse_error(capsys, argv):
     code, out, err = run_cli(capsys, *argv)
@@ -419,6 +463,9 @@ def test_import_does_not_load_scipy():
     assert done.stdout.strip() == "[]"
 
 
+BAD_CAP_FN = '{"coefficients": [[1,0]], "degree_cap": -5, "exact": true}'
+
+
 @pytest.mark.parametrize("argv", [
     ("verify-rep", "--rep", "{}"),
     ("gamma-s", "--alpha", "1", "--beta", "0", "--coeffs-json", "{}"),
@@ -440,6 +487,15 @@ def test_import_does_not_load_scipy():
     ("verify-rep", "--kind", "schroedinger", "--theta", "-0.5", "--gamma", "nan",
      "--levels", "0"),
     ("build-rep", "--kind", "schroedinger", "--theta", "inf"),
+    # a TruncFn degree_cap is a nonnegative integer and exact a bool
+    ("gamma-s", "--alpha", "1", "--beta", "0.5", "--coeffs-json", BAD_CAP_FN),
+    ("project", "--k", "0", "--coeffs-json", BAD_CAP_FN),
+    ("project", "--k", "0", "--coeffs-json",
+     '{"coefficients": [[1,0]], "degree_cap": 2, "exact": "no"}'),
+    ("project", "--k", "0", "--coeffs-json",
+     '{"coefficients": [[1,0]], "degree_cap": true, "exact": true}'),
+    ("project", "--k", "0", "--coeffs-json",
+     '{"coefficients": [[1%s, 0]], "degree_cap": 2, "exact": true}' % ("0" * 400)),
 ])
 def test_malformed_cli_input_is_a_parse_error(capsys, argv):
     code, out, err = run_cli(capsys, *argv)

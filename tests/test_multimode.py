@@ -11,7 +11,8 @@ import pytest
 
 from kreinccr.algebra import (AlgebraElement, commutator, multimode_set,
                               normal_order)
-from kreinccr.exceptions import Degenerate, DomainError, NotHermitian, ZeroInput
+from kreinccr.exceptions import (Degenerate, DomainError, NonFinite, NotHermitian,
+                                 ZeroInput)
 from kreinccr.multimode import (EtaSignature, MultiIndexState, _monomials,
                                 _strip, build_multimode_rep, diagonalize_eta,
                                 rho_iso, spectral_condition_check,
@@ -113,12 +114,22 @@ def test_multi_index_state():
     s = MultiIndexState({(1, 0, 2): 1.0, (0, 1): -2j}, cap=5)
     assert sorted({sum(i) for i in s.terms}) == [1, 3]
     assert {i: c for i, c in s.terms.items() if sum(i) == 1} == {(0, 1): -2j}
-    back = MultiIndexState.from_json(s.to_json())
-    assert back.terms == s.terms and back.cap == s.cap
+    # the same state as written by json.dumps, before to_json went through emit_json
+    dumps = '{"cap": 5, "terms": [[[0, 1], [0.0, -2.0]], [[1, 0, 2], [1.0, 0.0]]]}'
+    assert s.to_json() == '{"cap":5,"terms":[[[0,1],[0,-2]],[[1,0,2],[1,0]]]}'
+    for text in (s.to_json(), dumps):
+        back = MultiIndexState.from_json(text)
+        assert back.terms == s.terms and back.cap == s.cap
     with pytest.raises(ValueError):
         MultiIndexState({(3, 3): 1.0}, cap=5)
     with pytest.raises(ValueError):
         MultiIndexState({(-1,): 1.0}, cap=5)
+
+
+def test_to_json_of_a_non_finite_coefficient_is_non_finite():
+    for c in (math.inf, math.nan, complex(1, math.nan)):
+        with pytest.raises(NonFinite):
+            MultiIndexState({(1,): c}, 2).to_json()
 
 
 def test_single_mode_matches_fock():

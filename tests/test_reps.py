@@ -230,6 +230,13 @@ def test_domain_errors():
         build_schroedinger_theta(-0.5, -1.0, 8)
 
 
+@pytest.mark.parametrize("theta", [1j, complex(-0.5, 0), np.complex128(-0.5)],
+                         ids=["imaginary", "complex", "numpy-complex"])
+def test_a_complex_theta_is_a_domain_error(theta):
+    with pytest.raises(DomainError, match="theta must be real"):
+        build_schroedinger_theta(theta, 1.0, 3)
+
+
 def test_null_subrep_forcing():
     diag = detect_null_subrep(0.0, -2, 4)
     assert diag.has_null
@@ -314,10 +321,23 @@ def test_negative_window_gram_recursion():
         assert abs(g[i] - (0.0 + (ks[i] + rep.params["theta"])) * g[i - 1]) < 1e-10
 
 
+# build_schroedinger_theta(-0.25, 2.0, 2, sign=-1) as written by json.dumps
+# with spaces and repr floats, before to_json went through emit_json
+DUMPS_REP = (
+    '{"a_band": {"lower": [[0.5, 0.0], [0.5, 0.0]], "upper": [[0.0, 0.0], [0.0, 0.0]]}, '
+    '"adag_band": {"lower": [[0.0, 0.0], [0.0, 0.0]], "upper": [[-1.5, 0.0], [-3.5, 0.0]]}, '
+    '"gauge_diagonal": [[0.25, -0.0], [-0.75, 0.0], [-1.75, 0.0]], '
+    '"gram_diagonal": [1.2254167024651779, -3.676250107395534, 25.73375075176874], '
+    '"label": "schroedinger_theta", "min_level": 0, "params": {"gamma": 2.0, "levels": 2, '
+    '"mu": -0.25, "sign": -1, "theta": -0.25}, "signature": [1, -1, 1], "size": 3}')
+
+
 def test_json_round_trip():
-    for rep in (build_fock_bargmann(6), build_antifock(5),
-                build_schroedinger_theta(-0.25, 2.0, 7, sign=-1)):
-        back = BasisRep.from_json(rep.to_json())
+    cases = [(rep, rep.to_json()) for rep in (
+        build_fock_bargmann(6), build_antifock(5),
+        build_schroedinger_theta(-0.25, 2.0, 7, sign=-1))]
+    for rep, text in cases + [(build_schroedinger_theta(-0.25, 2.0, 2, sign=-1), DUMPS_REP)]:
+        back = BasisRep.from_json(text)
         assert np.max(np.abs(back.a_mat - rep.a_mat)) == 0
         assert np.max(np.abs(back.adag_mat - rep.adag_mat)) == 0
         assert np.array_equal(back.gram_diag, rep.gram_diag)

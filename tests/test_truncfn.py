@@ -7,11 +7,12 @@ sample points inside the disk of reliability.
 """
 
 import cmath
+import math
 
 import numpy as np
 import pytest
 
-from kreinccr.exceptions import DomainError, SingularTransformation
+from kreinccr.exceptions import DomainError, NonFinite, SingularTransformation
 from kreinccr.truncfn import (TruncFn, annihilator_beta_minus, apply_dz,
                               apply_z, exp_quadratic, fourier_project,
                               gamma_S, gamma_S_inverse, multiply,
@@ -217,6 +218,18 @@ def test_projection_of_another_family_is_a_domain_error():
 
 def test_json_round_trip():
     f = TruncFn.from_coeffs([1 + 2j, 0, -0.5], 4, exact=False)
-    g = TruncFn.from_json(f.to_json())
-    assert np.array_equal(f.coeffs, g.coeffs)
-    assert g.exact == f.exact
+    assert f.to_json() == (
+        '{"coefficients":[[1,2],[0,0],[-0.5,0],[0,0],[0,0]],"degree_cap":4,"exact":false}')
+    # the same function as written by json.dumps, before to_json went through emit_json
+    dumps = ('{"degree_cap": 4, "exact": false, "coefficients": '
+             '[[1.0, 2.0], [0.0, 0.0], [-0.5, 0.0], [0.0, 0.0], [0.0, 0.0]]}')
+    for text in (f.to_json(), dumps):
+        g = TruncFn.from_json(text)
+        assert np.array_equal(f.coeffs, g.coeffs)
+        assert g.exact == f.exact
+
+
+def test_to_json_of_a_non_finite_coefficient_is_non_finite():
+    for c in (math.nan, math.inf, complex(0, -math.inf)):
+        with pytest.raises(NonFinite):
+            TruncFn.from_coeffs([c, 1], 2).to_json()

@@ -5,8 +5,8 @@ library, and prints one JSON document on stdout.  Errors are printed as
 JSON on stderr with a machine-readable ``code`` field; exit status is 0
 on success, 1 on domain errors (``NonFinite`` for NaN, Inf or overflow)
 and on unexpected failures (``InternalError``, naming the exception type),
-2 on parse errors: every number, --theta, --gamma and config values included,
-is read by ``_number``, so NaN, Inf and overflow are parse errors everywhere.
+2 on parse errors: ``_number`` reads every number (--theta, --gamma and config values
+too) and ``read_doc`` every document, so NaN, Inf and overflow are parse errors anywhere.
 A stdout closed by its reader ends the call silently with exit 1.  Output is
 written by ``jsondoc.emit_json``, as the library's ``to_json`` is.
 """
@@ -17,6 +17,7 @@ import argparse
 import cmath
 import functools
 import os
+import re
 import sys
 from fractions import Fraction
 
@@ -347,6 +348,8 @@ def build_parser():
     sub = top.add_subparsers(dest="verb", required=True)
     for verb, help_, fn, arguments in VERBS:
         p = sub.add_parser(verb, help=help_)
+        # a value after a space may be "-" and a digit (-1/2, -2j), not just a decimal
+        p._negative_number_matcher = re.compile(r"-\.?\d")
         for name, keywords in arguments:
             p.add_argument(name, **keywords)
         p.set_defaults(fn=fn)
@@ -367,11 +370,6 @@ def main(argv=None):
                 out = emit_json(args.fn(args, cfg))
         except OverflowError as e:
             raise NonFinite(f"overflow: {e}") from None
-    except ParseError as e:
-        err = {"error": str(e), "code": e.code, "offset": e.offset,
-               "expected": list(e.expected)}
-        print(emit_json(err), file=sys.stderr)
-        return 2
     except KreinCcrError as e:
         err = {"error": str(e), "code": e.code}
         for k, v in e.payload.items():
@@ -381,7 +379,7 @@ def main(argv=None):
             except TypeError:
                 err[k] = str(v)
         print(emit_json(err), file=sys.stderr)
-        return 1
+        return 2 if isinstance(e, ParseError) else 1
     except Exception as e:
         # a failure the library does not type is still one JSON document
         err = {"error": str(e), "code": "InternalError", "type": type(e).__name__}

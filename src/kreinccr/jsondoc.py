@@ -1,6 +1,6 @@
-"""The one JSON document format, of library documents and CLI output alike:
-sorted keys, no spaces, complex numbers as [re, im] and floats with 17
-significant digits, so output is byte-stable; NaN and Inf are a NonFinite."""
+"""The one JSON document format, of library documents and CLI output alike: sorted
+keys, no spaces, complex numbers as [re, im], floats with 17 significant digits (so
+byte-stable) and finite numbers: NaN or Inf is a NonFinite out and a ParseError in."""
 
 from __future__ import annotations
 
@@ -41,13 +41,19 @@ def emit_json(obj) -> str:
     raise TypeError(f"cannot serialize {type(obj).__name__}")
 
 
+def _finite(text):
+    if not math.isfinite(x := float(text)):
+        raise ValueError(f"{text} is not a finite number")
+    return x
+
+
 def read_doc(text, what, expected, build):
     """build(the parsed text); any failure is the ParseError "<what> JSON: ..."."""
     try:
-        return build(json.loads(text))
-    except (KeyError, TypeError, ValueError, IndexError, AttributeError, OverflowError) as e:
-        raise ParseError(f"{what} JSON: {e!r}", offset=getattr(e, "pos", 0),
-                         expected=expected) from None
+        return build(json.loads(text, parse_float=_finite, parse_constant=_finite))
+    except (KeyError, TypeError, ValueError, IndexError, AttributeError, OverflowError,
+            RecursionError) as e:
+        raise ParseError(f"{what} JSON: {e!r}", getattr(e, "pos", 0), expected) from None
 
 
 def checked(value, name, kind=int):

@@ -24,7 +24,7 @@ from itertools import combinations_with_replacement, zip_longest
 import numpy as np
 
 from .algebra import AlgebraElement, _mode_of, multimode_set, substitute
-from .exceptions import Degenerate, DomainError, NotHermitian, ZeroInput
+from .exceptions import Degenerate, DomainError, NonFinite, NotHermitian, ZeroInput
 from .jsondoc import checked, emit_json, read_doc
 
 
@@ -283,6 +283,9 @@ def spectral_condition_check(rep: MultiModeRep, f: MultiIndexState,
     degree = rep.gauge_diag.astype(int)
     c = (np.bincount(degree, terms.real, rep.cap + 1)
          + 1j * np.bincount(degree, terms.imag, rep.cap + 1))
+    bad = np.flatnonzero(~np.isfinite(c))
+    if bad.size:
+        raise NonFinite("a component of <g, U(s) f> is not finite", degree=int(bad[0]))
     scale = max(1.0, float(np.sum(np.abs(c))))
     return {int(k) for k in np.flatnonzero(np.abs(c) > tol * scale)}
 

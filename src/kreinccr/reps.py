@@ -81,14 +81,14 @@ class BasisRep:
 
     @classmethod
     def from_json(cls, text):
-        """Inverse of to_json; text of another shape is a ParseError."""
+        """Inverse of to_json; text of another shape, or a number as text, is a ParseError."""
 
         def unband(spec, n):
             m = np.zeros((n, n), dtype=complex)
-            for i, v in enumerate(spec["lower"]):
-                m[i + 1, i] = complex(*v)
-            for i, v in enumerate(spec["upper"]):
-                m[i, i + 1] = complex(*v)
+            for i, (re, im) in enumerate(spec["lower"]):
+                m[i + 1, i] = complex(re, im)
+            for i, (re, im) in enumerate(spec["upper"]):
+                m[i, i + 1] = complex(re, im)
             return m
 
         def build(obj):
@@ -98,18 +98,16 @@ class BasisRep:
                 raise ValueError(f"a diagonal's length differs from size {n}")
             if type(obj["min_level"]) is not int:
                 raise ValueError("min_level must be an integer")
-            gram = np.array(obj["gram_diagonal"], dtype=float)
-            if not np.all(np.isfinite(gram) & (gram != 0)):
+            gram = np.array([x + 0.0 for x in obj["gram_diagonal"]])  # no text, no null
+            if not np.all(gram != 0):
                 raise ValueError("gram_diagonal entries must be finite and nonzero")
-            gauge = np.array([complex(*v) for v in obj["gauge_diagonal"]])
+            gauge = np.array([complex(re, im) for re, im in obj["gauge_diagonal"]])
             a_mat, adag_mat = unband(obj["a_band"], n), unband(obj["adag_band"], n)
-            if not all(np.all(np.isfinite(x)) for x in (gauge, a_mat, adag_mat)):
-                raise ValueError("band and gauge_diagonal entries must be finite")
             if obj["label"] == "schroedinger_theta":
                 if not all(type(params.get(k)) in (int, float) for k in ("theta", "gamma")):
                     raise ValueError("schroedinger_theta needs real theta and gamma params")
-                theta, gamma = float(params["theta"]), float(params["gamma"])
-                if not (math.isfinite(theta) and 0 < gamma < math.inf):
+                _, gamma = float(params["theta"]), float(params["gamma"])  # a huge int overflows
+                if not gamma > 0:
                     raise ValueError("schroedinger_theta needs finite theta and gamma > 0")
                 sign = params.get("sign", 1)
                 if type(sign) is not int or sign not in (1, -1):

@@ -306,6 +306,8 @@ def test_state_above_the_degree_cap_is_a_domain_error(capsys):
     # an integer past the doubles
     ("vacuum-descent", "--eta", "+1", "--degree-cap", "3",
      "--f", '{"cap": 3, "terms": [[[1], [1%s, 0]]]}' % ("0" * 400)),
+    # nesting deeper than the parser holds
+    ("vacuum-descent", "--eta", "+1", "--degree-cap", "3", "--f", "[" * 100000),
 ])
 def test_malformed_state_json_is_a_parse_error(capsys, argv):
     code, out, err = run_cli(capsys, *argv)
@@ -496,6 +498,9 @@ BAD_CAP_FN = '{"coefficients": [[1,0]], "degree_cap": -5, "exact": true}'
      '{"coefficients": [[1,0]], "degree_cap": true, "exact": true}'),
     ("project", "--k", "0", "--coeffs-json",
      '{"coefficients": [[1%s, 0]], "degree_cap": 2, "exact": true}' % ("0" * 400)),
+    # nesting deeper than the parser holds
+    ("verify-rep", "--rep", "[" * 100000),
+    ("gamma-s", "--alpha", "1", "--beta", "0", "--coeffs-json", "[" * 100000),
 ])
 def test_malformed_cli_input_is_a_parse_error(capsys, argv):
     code, out, err = run_cli(capsys, *argv)
@@ -625,6 +630,81 @@ def test_inconsistent_rep_json_is_a_parse_error(capsys, changes):
     assert json.loads(err)["code"] == "ParseError"
 
 
+@pytest.mark.parametrize("changes", [
+    {"gram_diagonal": ["nan", 1.0, 2.0, 3.0]},
+    {"gram_diagonal": ["2", 1.0, 2.0, 3.0]},
+    {"gram_diagonal": [None, 1.0, 2.0, 3.0]},
+    {"gauge_diagonal": [["nanj"], [0.5, 0.0], [1.5, 0.0], [2.5, 0.0]]},
+    {"gauge_diagonal": [[-0.5], [0.5, 0.0], [1.5, 0.0], [2.5, 0.0]]},
+    {"a_band": {"lower": [[0.0, 0.0]] * 3, "upper": [["inf", 0.0], [1.0, 0.0], [5.0, 0.0]]}},
+], ids=["nan-text-gram", "text-gram", "null-gram", "nan-text-gauge", "one-part-gauge",
+        "inf-text-band"])
+def test_a_rep_document_number_is_a_json_number(capsys, changes):
+    # text would slip a NaN past read_doc, which sees only JSON numbers
+    code, out, err = run_cli(capsys, "verify-rep", "--rep", _rep_doc(**changes))
+    assert code == 2 and out == ""
+    assert json.loads(err)["code"] == "ParseError"
+
+
+# one argv per document reader, with X where a coefficient goes; at X = NaN the
+# last three once exited 0: the projection kept c_1, the support read empty and
+# the vacuum came from degree 2
+DOC_READERS = [
+    ("verify-rep", "--rep", _rep_doc(a_band={"lower": [[0, 0]] * 3,
+                                             "upper": [["X", 0], [1, 0], [1, 0]]})),
+    ("gamma-s", "--alpha", "1", "--beta", "0.5",
+     "--coeffs-json", '{"coefficients": [["X", 0]], "degree_cap": 2, "exact": true}'),
+    ("project", "--k", "1",
+     "--coeffs-json", '{"coefficients": [["X", 0], [1, 0]], "degree_cap": 2, "exact": true}'),
+    ("spectral-check", "--eta", "+1", "--degree-cap", "3", "--f",
+     '{"cap": 3, "terms": [[[1], ["X", 0]]]}', "--g", '{"cap": 3, "terms": [[[1], [1, 0]]]}'),
+    ("vacuum-descent", "--eta", "+1", "--degree-cap", "3",
+     "--f", '{"cap": 3, "terms": [[[1], ["X", 0]], [[2], [1, 0]]]}'),
+]
+
+
+@pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity", "1e400"])
+@pytest.mark.parametrize("argv", DOC_READERS, ids=lambda argv: argv[0])
+def test_a_non_finite_document_number_is_a_parse_error(capsys, argv, token):
+    def at(value):
+        return [a.replace('"X"', value) for a in argv]
+
+    assert run_cli(capsys, *at("0.5"))[0] == 0
+    code, out, err = run_cli(capsys, *at(token))
+    assert code == 2 and out == ""
+    assert json.loads(err)["code"] == "ParseError"
+
+
+def test_a_parse_error_prints_its_offset_and_expected_tokens(capsys):
+    assert run_cli(capsys, "pcf-eval", "--lam", "abc", "--x", "1") == (2, "", (
+        '{"code":"ParseError","error":"not a number: \'abc\'","expected":["number"],'
+        '"offset":0}\n'))
+
+
+# argparse reads these as options unless each verb parser's negative-number
+# matcher accepts them; the test fails if a Python release stops honouring it
+@pytest.mark.parametrize("argv", [
+    ("build-rep", "--kind", "schroedinger", "--levels", "1", "--theta", "-1/2"),
+    ("gamma-s", "--alpha", "1", "--beta", "0", "--coeffs", "-1,0.5"),
+    ("gamma-s", "--alpha", "1", "--coeffs", "1", "--beta", "-1e-3"),
+    ("reduce-canonical", "--v", "1,0,0,1", "--mu", "-2j"),
+    ("reduce-canonical", "--v", "-1,0,0,-1"),
+    ("multimode-build", "--degree-cap", "2", "--eta", "-1,+1"),
+])
+def test_a_negative_value_may_follow_its_flag_after_a_space(capsys, argv):
+    *head, flag, value = argv
+    joined = run_cli(capsys, *head, f"{flag}={value}")
+    assert joined[0] == 0
+    assert run_cli(capsys, *argv) == joined
+
+
+@pytest.mark.parametrize("value", ["-inf", "-nan"])
+def test_a_negative_word_after_a_space_is_still_a_usage_error(capsys, value):
+    with pytest.raises(SystemExit) as e:
+        main(["build-rep", "--kind", "schroedinger", "--theta", value])
+    assert e.value.code == 2 and "expected one argument" in capsys.readouterr().err
+
+
 def test_a_rep_document_whose_gamma_squared_overflows(capsys):
     argv = ["--kind", "schroedinger", "--theta", "-0.5", "--gamma", "1e200"]
     with warnings.catch_warnings():
@@ -647,6 +727,13 @@ def test_a_rep_document_whose_gamma_squared_overflows(capsys):
 @pytest.mark.parametrize("argv, error", [
     (("involve", "z", "--c-matrix", "2,0,0,1"), "NotInvolutive"),
     (("classify-orbit", "--n3", "1", "--nminus", "1e200", "--nplus", "1e200"), "NonFinite"),
+    # 1/alpha overflows, so the implementation residual is NaN, not 0
+    (("gamma-s", "--alpha", "1e-320", "--beta", "1", "--coeffs=-1,0.5", "--degree-cap", "5"),
+     "NonFinite"),
+    # <g, U(s) f> at degree 170 is 1e300 170! 1e300, past the doubles
+    (("spectral-check", "--eta", "+1", "--degree-cap", "170",
+      "--f", '{"cap": 170, "terms": [[[170], [1e300, 0]]]}',
+      "--g", '{"cap": 170, "terms": [[[170], [1e300, 0]]]}'), "NonFinite"),
 ])
 def test_a_library_failure_on_odd_numbers_is_typed(capsys, argv, error):
     code, out, err = run_cli(capsys, *argv)

@@ -179,6 +179,17 @@ def test_spectral_condition():
     assert spectral_condition_check(rep, f, g) == set()
 
 
+def test_spectral_condition_of_a_component_past_the_doubles_is_non_finite():
+    rep = build_multimode_rep(EtaSignature((1,)), 170)
+    one = MultiIndexState.monomial((170,), cap=170)
+    assert spectral_condition_check(rep, one, one) == {170}
+    # the Gram entry is 170!, so 1e300 170! 1e300 is Inf, which no threshold keeps
+    big = MultiIndexState({(170,): 1e300}, cap=170)
+    with pytest.raises(NonFinite) as e, np.errstate(all="ignore"):
+        spectral_condition_check(rep, big, big)
+    assert e.value.payload == {"degree": 170}
+
+
 def test_spectral_condition_random_support():
     rng = np.random.default_rng(2)
     rep = build_multimode_rep(ETA3, 5)

@@ -98,6 +98,13 @@ def test_verify_implementation_small():
     assert worst < 1e-9
 
 
+def test_verify_implementation_keeps_a_nan_residual():
+    # 1/alpha overflows, so Gamma_S^{-1} f is NaN past c_0: no residual was computed
+    f = TruncFn.from_coeffs([-1, 0.5], 5)
+    with np.errstate(all="ignore"):
+        assert math.isnan(verify_implementation(1e-320, 1, f))
+
+
 def test_group_law():
     # Gamma_{S1} Gamma_{S2} = Gamma_{S2 S1} (the action reverses products)
     rng = np.random.default_rng(3)
